@@ -1,119 +1,173 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over the BENCH_*.json sweep baselines.
+"""Perf-regression gate over the BENCH_*.json smoke outputs.
 
 CI runs the --smoke matrix twice — workload/baseline cache on (default) and
 off (--no-cache) — and feeds both JSON directories here:
 
     compare_bench.py record --cached DIR --uncached DIR --out bench/baselines
     compare_bench.py check  --cached DIR --uncached DIR \
-        --baselines bench/baselines [--tolerance 0.25]
+        --baselines bench/baselines
 
-`record` distills each sweep pair into a committed baseline under
-bench/baselines/. `check` fails (exit 1) when the current run regresses.
+`record` distills every bench shape in GATES into a committed baseline
+under bench/baselines/. `check` distills the current run the same way and
+fails (exit 1) when a gated field breaks its rule against the baseline.
 
-What is compared, and why these metrics:
+Each gate table row names the shape's input files (the cache-on/off pair
+for the nine sweeps, the cached directory alone for the other benches),
+the identity tag its BENCH file must carry, the fields it distills, and a
+rule per gated field:
 
-* runs — the matrix shape. An accidental shrink of the smoke matrix would
-  make every timing look great; compared exactly.
-* cache hit_rate — deterministic for a fixed sweep plan under the default
-  budget (no evictions), so compared exactly (tiny epsilon). A drop means
-  the prefix planner stopped sharing work.
-* speedup = uncached total_wall_ms / cached total_wall_ms — the cache's
-  work-based win. Both sides run the same instruction mix on the same
-  machine, so the *ratio* transfers across machines far better than
-  absolute wall times do; it degrading by more than --tolerance (default
-  25%) is the perf regression this gate exists to catch. Gated only on
-  sweeps whose baseline replays simulation runs from the cache — where
-  nothing substantial is shared the ratio is timing noise around 1.0,
-  recorded for the trajectory but not gated. Absolute wall times are
-  still recorded in the baselines and artifacts so the BENCH_*.json
-  trajectory stays inspectable.
-* elapsed_speedup — same ratio over driver wall clock; recorded and
-  reported for the artifact trajectory, but not hard-gated: a smoke sweep
-  elapses ~30 ms, so a single scheduling hiccup on a shared runner could
-  swing the ratio arbitrarily.
+* exact — deterministic counters and the matrix shape (runs, events,
+  decisions, workers, ...): a shrunk smoke matrix would make every timing
+  look great. Re-record bench/baselines when the config changes on purpose.
+* eps — the cache hit_rate, deterministic for a fixed sweep plan.
+* tol — speedup = uncached / cached total_wall_ms. Both runs do the same
+  instruction mix on one machine, so the ratio transfers across machines
+  far better than wall times; gated only when the baseline replays
+  simulation runs from the cache, elsewhere it is noise around 1.0.
+* max / min — wall times and rates within a machine-to-machine slack.
+* floor — hard speedup floors: fairshare-decay's four half-lives share
+  one instance + REF baseline (2x); a warm strategy grid does one window
+  + REF per cell, not per deviation (observed ~1.3-1.45x); warm dispatch
+  sessions beat spawn-per-attempt (2x).
+* fixed — dispatch's CSVs match across modes, with zero v1 fallbacks.
+* served — sessions serve exactly shards x repeats shards.
 
-MIN_SPEEDUP holds hard, machine-independent floors over the work-based
-speedup. fairshare-decay is the acceptance bar for the prefix cache: four
-half-life values share one instance + REF baseline, so cache-on must do
-at least 2x less measured work than --no-cache.
+A gate row may end with a short reason, appended to its failure line.
+elapsed_speedup and the absolute times are recorded, not gated.
 """
 
 import argparse
 import json
 import math
+import operator
 import pathlib
 import sys
 
-SWEEPS = [
-    "table1",
-    "table2",
-    "utilization",
-    "rand-convergence",
-    "fig10",
-    "horizon-growth",
-    "fairshare-decay",
-    # The config-defined policy smoke (bench/configs/custom_policy.cfg):
-    # CI runs `custom --config=... --smoke`, so the open policy API's
-    # registry/composition path sits under the same perf gate.
-    "custom",
-    # The strategic-deviation smoke (fairsched_exp strategy --smoke): every
-    # deviation of a cell declares a different instance, so no simulation
-    # runs replay (replayed_runs = 0) — but the honest window generation and
-    # REF baseline are shared across the whole deviation grid, which the
-    # exact hit_rate gate plus the MIN_SPEEDUP floor below verify.
-    "strategy",
-]
-
-# Hard work-based speedup floors (sweep -> min uncached/cached
-# total_wall_ms ratio), enforced by `check` independent of the recorded
-# baseline.
-MIN_SPEEDUP = {
-    "fairshare-decay": 2.0,
-    # A warm deviation grid must do measurably less work than a cold one:
-    # one window generation + one REF honest baseline per cell instead of
-    # one per deviation. The policy runs themselves dominate and never
-    # replay, so the floor is modest (observed ~1.3-1.45x).
-    "strategy": 1.1,
-}
-
+TOLERANCE = 0.25
 HIT_RATE_EPSILON = 1e-6
 
-# The ref-scaling engine microbench (BENCH_ref-scaling.json, written by
-# `fairsched_exp ref-scaling --smoke`) is compared differently from the
-# sweep pairs above: its event and decision counts are deterministic for
-# the smoke configuration — the engine's unified event stream and decision
-# sequence are part of the equivalence contract — so those are gated
-# exactly, while the wall-clock throughput only has to stay within a
-# generous machine-to-machine slack factor of the recorded baseline.
-REF_SCALING = "ref-scaling"
-REF_SCALING_WALL_SLACK = 8.0
+# Rule -> (limit, comparison the current value must pass against it), or
+# None where the rule does not apply to this baseline.
+RULES = {
+    "exact": lambda cur, base, f, p: (base[f], "=="),
+    "eps": lambda cur, base, f, p: (base[f] - p, ">="),
+    "tol": lambda cur, base, f, p: (
+        (base[f] * (1.0 - p), ">=") if base["replayed_runs"] > 0 else None
+    ),
+    "max": lambda cur, base, f, p: (base[f] * p, "<="),
+    "min": lambda cur, base, f, p: (base[f] / p, ">="),
+    "floor": lambda cur, base, f, p: (p, ">="),
+    "fixed": lambda cur, base, f, p: (p, "=="),
+    "served": lambda cur, base, f, p: (cur["shards"] * cur["repeats"], "=="),
+}
+COMPARE = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
-# The serve-mode session bench (BENCH_serve.json, written by
-# `fairsched_exp serve --smoke`) follows the ref-scaling pattern: its
-# counters are deterministic for the smoke configuration — the arrival
-# stream is seeded and the decision stream is pinned by the serve-vs-batch
-# replay contract — so they are gated exactly, while decision throughput
-# and p99 latency only have to stay within generous machine-to-machine
-# slack factors of the recorded baseline.
-SERVE = "serve"
-SERVE_THROUGHPUT_SLACK = 8.0
-SERVE_LATENCY_SLACK = 16.0
+# A field is a dotted path into {"cached": ..., "uncached": ...}, or a
+# (numerator, denominator) pair of paths for a ratio.
+SWEEP_FIELDS = {
+    "runs": "cached.runs",
+    "hit_rate": "cached.cache.hit_rate",
+    "replayed_runs": "cached.cache.replayed_runs",
+    "speedup": ("uncached.total_wall_ms", "cached.total_wall_ms"),
+    "elapsed_speedup": ("uncached.elapsed_ms", "cached.elapsed_ms"),
+    "cached_total_wall_ms": "cached.total_wall_ms",
+    "uncached_total_wall_ms": "uncached.total_wall_ms",
+    "cached_elapsed_ms": "cached.elapsed_ms",
+    "uncached_elapsed_ms": "uncached.elapsed_ms",
+}
+SWEEP_GATES = [
+    ("runs", "exact", None, "re-record bench/baselines if intended"),
+    ("hit_rate", "eps", HIT_RATE_EPSILON,
+     "the prefix planner stopped sharing work"),
+    ("speedup", "tol", TOLERANCE),
+]
+RECONFIGURED = "re-record bench/baselines if the smoke config changed"
 
-# The dispatch bench (BENCH_dispatch.json, written by `fairsched_exp
-# dispatch --dispatch-bench`) compares spawn-per-attempt (protocol v1)
-# against persistent sessions (protocol v2) on the same sweep. Its shape
-# counters (workers/shards/repeats, shards served over sessions, zero v1
-# fallbacks, byte-identical CSV between modes) are deterministic and
-# gated exactly. The warm-session speedup — spawn warm wall over session
-# warm wall, where "warm" excludes each mode's first repeat — has a hard
-# machine-independent floor: amortizing process spawn + plan rebuild +
-# cache warmup across shards must win at least 2x on the smoke sweep.
-# Absolute wall times only have to stay within a generous slack of the
-# recorded baseline.
-DISPATCH = "dispatch"
-DISPATCH_MIN_WARM_SPEEDUP = 2.0
-DISPATCH_WALL_SLACK = 8.0
+
+def cached(*keys, **renamed):
+    """Fields read straight from the cached BENCH file."""
+    fields = {key: f"cached.{key}" for key in keys}
+    fields.update({k: f"cached.{path}" for k, path in renamed.items()})
+    return fields
+
+
+def exact(*keys, why):
+    return [(key, "exact", None, why) for key in keys]
+
+
+def sweep(name, floor=None):
+    floors = [("speedup", "floor", floor)] if floor else []
+    return dict(name=name, inputs=("cached", "uncached"), tag="sweep",
+                fields=SWEEP_FIELDS, gates=SWEEP_GATES + floors,
+                shown=("elapsed_speedup",))
+
+
+GATES = [
+    sweep("table1"),
+    sweep("table2"),
+    sweep("utilization"),
+    sweep("rand-convergence"),
+    sweep("fig10"),
+    sweep("horizon-growth"),
+    sweep("fairshare-decay", floor=2.0),
+    # The config-defined policy smoke (bench/configs/custom_policy.cfg).
+    sweep("custom"),
+    # No deviation replays a policy run (replayed_runs = 0), so only the
+    # exact hit rate and the floor gate the shared honest baselines.
+    sweep("strategy", floor=1.1),
+    dict(
+        name="ref-scaling", inputs=("cached",), tag="sweep",
+        fields=cached(
+            "largest_orgs", "horizon", "ref_wall_ms_per_run",
+            events="engine.events", decisions="engine.decisions",
+            engine_wall_ms="engine.wall_ms",
+            events_per_sec="engine.events_per_sec",
+            decisions_per_sec="engine.decisions_per_sec"),
+        gates=exact("largest_orgs", "horizon", "events", "decisions",
+                    why="the engine's event stream / decision sequence is "
+                    "part of the equivalence contract; " + RECONFIGURED)
+        + [("ref_wall_ms_per_run", "max", 8.0)],
+    ),
+    dict(
+        name="serve", inputs=("cached",), tag="sweep",
+        fields=cached(
+            "policy", "source", "orgs", "machines", "arrivals",
+            "engine_events", "decisions", "completions", "final_time",
+            "peak_resident_jobs", "peak_resident_orgs", "decisions_per_sec",
+            "events_per_sec", latency_p50_ns="decision_latency_ns.p50",
+            latency_p99_ns="decision_latency_ns.p99"),
+        gates=exact("policy", "source", "orgs", "machines", "arrivals",
+                    "engine_events", "decisions", "completions",
+                    "final_time", "peak_resident_jobs", "peak_resident_orgs",
+                    why="the serve decision stream is pinned by the replay "
+                    "contract; " + RECONFIGURED)
+        + [("decisions_per_sec", "min", 8.0),
+           ("latency_p99_ns", "max", 16.0)],
+    ),
+    dict(
+        name="dispatch", inputs=("cached",), tag="benchmark",
+        command="fairsched_exp dispatch --dispatch-bench",
+        fields=cached(
+            "workers", "shards", "repeats", "spawn_warm_ms",
+            "session_cold_ms", "session_warm_ms", "warm_speedup",
+            "session_opens", "session_served", "session_fallback",
+            "cache_hits", "cache_misses", "csv_identical",
+            bench_sweep="sweep"),
+        gates=exact("bench_sweep", "workers", "shards", "repeats",
+                    why="re-record bench/baselines if the bench "
+                    "configuration changed")
+        + [("csv_identical", "fixed", True,
+            "session-mode CSV diverged from spawn-mode CSV; the "
+            "dispatch-determinism contract is broken"),
+           ("session_fallback", "fixed", 0,
+            "attempts fell back to spawn-per-attempt; the session worker "
+            "no longer speaks protocol v2 to its own dispatcher"),
+           ("session_served", "served", None, "shards x repeats"),
+           ("warm_speedup", "floor", 2.0),
+           ("session_warm_ms", "max", 8.0)],
+    ),
+]
 
 
 def load_json(path, what):
@@ -131,388 +185,109 @@ def load_json(path, what):
         )
 
 
-def load_bench(directory, sweep):
-    path = pathlib.Path(directory) / f"BENCH_{sweep}.json"
+def load_bench(directory, gate):
+    name, tag = gate["name"], gate["tag"]
+    path = pathlib.Path(directory) / f"BENCH_{name}.json"
     if not path.is_file():
+        command = gate.get("command", f"fairsched_exp {name} --smoke")
         raise SystemExit(
-            f"error: missing bench output {path} — did the "
-            f"`fairsched_exp {sweep} --smoke` run for this directory "
-            f"complete?"
+            f"error: missing bench output {path} — did the `{command}` run "
+            f"for this directory complete?"
         )
     data = load_json(path, "bench output")
-    if data.get("sweep") != sweep:
-        raise SystemExit(f"error: {path} reports sweep {data.get('sweep')!r}")
+    if data.get(tag) != name:
+        raise SystemExit(f"error: {path} reports {tag} {data.get(tag)!r}")
     return data
 
 
-def safe_ratio(numerator, denominator):
-    return numerator / denominator if denominator > 0 else math.inf
+def lookup(benches, path):
+    value = benches
+    for key in path.split("."):
+        value = value[key]
+    return value
 
 
-def distill(cached, uncached, sweep):
-    """One baseline record from a (cache-on, cache-off) BENCH pair."""
-    if not cached["cache"]["enabled"]:
-        raise SystemExit(f"error: {sweep}: the --cached run had its cache off")
-    if uncached["cache"]["enabled"]:
-        raise SystemExit(f"error: {sweep}: the --uncached run had its cache on")
-    if cached["runs"] != uncached["runs"]:
-        raise SystemExit(
-            f"error: {sweep}: cached and uncached run counts differ "
-            f"({cached['runs']} vs {uncached['runs']})"
-        )
-    return {
-        "sweep": sweep,
-        "runs": cached["runs"],
-        "hit_rate": cached["cache"]["hit_rate"],
-        "replayed_runs": cached["cache"]["replayed_runs"],
-        "speedup": safe_ratio(
-            uncached["total_wall_ms"], cached["total_wall_ms"]
-        ),
-        "elapsed_speedup": safe_ratio(
-            uncached["elapsed_ms"], cached["elapsed_ms"]
-        ),
-        "cached_total_wall_ms": cached["total_wall_ms"],
-        "uncached_total_wall_ms": uncached["total_wall_ms"],
-        "cached_elapsed_ms": cached["elapsed_ms"],
-        "uncached_elapsed_ms": uncached["elapsed_ms"],
-    }
-
-
-def distill_ref_scaling(bench):
-    """One baseline record from a BENCH_ref-scaling.json microbench."""
-    engine = bench["engine"]
-    return {
-        "sweep": REF_SCALING,
-        "largest_orgs": bench["largest_orgs"],
-        "horizon": bench["horizon"],
-        "events": engine["events"],
-        "decisions": engine["decisions"],
-        "ref_wall_ms_per_run": bench["ref_wall_ms_per_run"],
-        "engine_wall_ms": engine["wall_ms"],
-        "events_per_sec": engine["events_per_sec"],
-        "decisions_per_sec": engine["decisions_per_sec"],
-    }
-
-
-def check_ref_scaling(baseline, current):
-    """Failure strings for the ref-scaling microbench pair, if any."""
-    failures = []
-    for key in ("largest_orgs", "horizon", "events", "decisions"):
-        if current[key] != baseline[key]:
-            failures.append(
-                f"{REF_SCALING}: {key} changed {baseline[key]} -> "
-                f"{current[key]} (the engine's event stream / decision "
-                f"sequence is part of the equivalence contract; re-record "
-                f"bench/baselines if the smoke config changed)"
+def distill(gate, args):
+    """One baseline record from the shape's BENCH input files."""
+    name = gate["name"]
+    benches = {d: load_bench(getattr(args, d), gate) for d in gate["inputs"]}
+    if "uncached" in benches:
+        on, off = benches["cached"], benches["uncached"]
+        if not on["cache"]["enabled"]:
+            raise SystemExit(f"error: {name}: the --cached run had no cache")
+        if off["cache"]["enabled"]:
+            raise SystemExit(f"error: {name}: the --uncached run had a cache")
+        if on["runs"] != off["runs"]:
+            raise SystemExit(
+                f"error: {name}: cached and uncached run counts differ "
+                f"({on['runs']} vs {off['runs']})"
             )
-    ceiling = baseline["ref_wall_ms_per_run"] * REF_SCALING_WALL_SLACK
-    if current["ref_wall_ms_per_run"] > ceiling:
-        failures.append(
-            f"{REF_SCALING}: wall ms/run at the largest orgs point "
-            f"regressed past the {REF_SCALING_WALL_SLACK:.0f}x slack: "
-            f"{current['ref_wall_ms_per_run']:.2f} > {ceiling:.2f} "
-            f"(baseline {baseline['ref_wall_ms_per_run']:.2f})"
-        )
-    return failures
-
-
-def distill_serve(bench):
-    """One baseline record from a BENCH_serve.json session report."""
-    latency = bench["decision_latency_ns"]
-    return {
-        "sweep": SERVE,
-        "policy": bench["policy"],
-        "source": bench["source"],
-        "orgs": bench["orgs"],
-        "machines": bench["machines"],
-        "arrivals": bench["arrivals"],
-        "engine_events": bench["engine_events"],
-        "decisions": bench["decisions"],
-        "completions": bench["completions"],
-        "final_time": bench["final_time"],
-        "peak_resident_jobs": bench["peak_resident_jobs"],
-        "peak_resident_orgs": bench["peak_resident_orgs"],
-        "decisions_per_sec": bench["decisions_per_sec"],
-        "events_per_sec": bench["events_per_sec"],
-        "latency_p50_ns": latency["p50"],
-        "latency_p99_ns": latency["p99"],
-    }
-
-
-def check_serve(baseline, current):
-    """Failure strings for the serve session bench pair, if any."""
-    failures = []
-    for key in (
-        "policy",
-        "source",
-        "orgs",
-        "machines",
-        "arrivals",
-        "engine_events",
-        "decisions",
-        "completions",
-        "final_time",
-        "peak_resident_jobs",
-        "peak_resident_orgs",
-    ):
-        if current[key] != baseline[key]:
-            failures.append(
-                f"{SERVE}: {key} changed {baseline[key]} -> {current[key]} "
-                f"(the serve decision stream is pinned by the replay "
-                f"contract; re-record bench/baselines if the smoke config "
-                f"changed)"
+    distilled = {"sweep": name}
+    for field, path in gate["fields"].items():
+        if isinstance(path, tuple):
+            numerator, denominator = (lookup(benches, p) for p in path)
+            distilled[field] = (
+                numerator / denominator if denominator > 0 else math.inf
             )
-    floor = baseline["decisions_per_sec"] / SERVE_THROUGHPUT_SLACK
-    if current["decisions_per_sec"] < floor:
-        failures.append(
-            f"{SERVE}: decision throughput regressed past the "
-            f"{SERVE_THROUGHPUT_SLACK:.0f}x slack: "
-            f"{current['decisions_per_sec']:.0f}/s < {floor:.0f}/s "
-            f"(baseline {baseline['decisions_per_sec']:.0f}/s)"
-        )
-    ceiling = baseline["latency_p99_ns"] * SERVE_LATENCY_SLACK
-    if current["latency_p99_ns"] > ceiling:
-        failures.append(
-            f"{SERVE}: decision p99 latency regressed past the "
-            f"{SERVE_LATENCY_SLACK:.0f}x slack: "
-            f"{current['latency_p99_ns']}ns > {ceiling:.0f}ns "
-            f"(baseline {baseline['latency_p99_ns']}ns)"
-        )
-    return failures
+        else:
+            distilled[field] = lookup(benches, path)
+    return distilled
 
 
-def load_dispatch_bench(directory):
-    path = pathlib.Path(directory) / f"BENCH_{DISPATCH}.json"
-    if not path.is_file():
-        raise SystemExit(
-            f"error: missing bench output {path} — did the "
-            f"`fairsched_exp dispatch --dispatch-bench` run complete?"
-        )
-    data = load_json(path, "bench output")
-    if data.get("benchmark") != DISPATCH:
-        raise SystemExit(
-            f"error: {path} reports benchmark {data.get('benchmark')!r}"
-        )
-    return data
+def fmt(value):
+    return f"{value:.3f}" if isinstance(value, float) else str(value)
 
 
-def distill_dispatch(bench):
-    """One baseline record from a BENCH_dispatch.json spawn/session pair."""
-    return {
-        "sweep": DISPATCH,
-        "bench_sweep": bench["sweep"],
-        "workers": bench["workers"],
-        "shards": bench["shards"],
-        "repeats": bench["repeats"],
-        "spawn_warm_ms": bench["spawn_warm_ms"],
-        "session_cold_ms": bench["session_cold_ms"],
-        "session_warm_ms": bench["session_warm_ms"],
-        "warm_speedup": bench["warm_speedup"],
-        "session_opens": bench["session_opens"],
-        "session_served": bench["session_served"],
-        "session_fallback": bench["session_fallback"],
-        "cache_hits": bench["cache_hits"],
-        "cache_misses": bench["cache_misses"],
-        "csv_identical": bench["csv_identical"],
-    }
-
-
-def check_dispatch(baseline, current):
-    """Failure strings for the dispatch bench pair, if any."""
-    failures = []
-    for key in ("bench_sweep", "workers", "shards", "repeats"):
-        if current[key] != baseline[key]:
-            failures.append(
-                f"{DISPATCH}: {key} changed {baseline[key]} -> "
-                f"{current[key]} (re-record bench/baselines if the bench "
-                f"configuration changed)"
-            )
-    if not current["csv_identical"]:
-        failures.append(
-            f"{DISPATCH}: session-mode CSV diverged from spawn-mode CSV — "
-            f"the dispatch-determinism contract is broken"
-        )
-    if current["session_fallback"] != 0:
-        failures.append(
-            f"{DISPATCH}: {current['session_fallback']} attempt(s) fell "
-            f"back to spawn-per-attempt — the session worker no longer "
-            f"speaks protocol v2 to its own dispatcher"
-        )
-    expected_served = current["shards"] * current["repeats"]
-    if current["session_served"] != expected_served:
-        failures.append(
-            f"{DISPATCH}: sessions served {current['session_served']} "
-            f"shard(s), expected shards x repeats = {expected_served}"
-        )
-    if current["warm_speedup"] < DISPATCH_MIN_WARM_SPEEDUP:
-        failures.append(
-            f"{DISPATCH}: warm session speedup "
-            f"{current['warm_speedup']:.2f} below the hard "
-            f"{DISPATCH_MIN_WARM_SPEEDUP:.1f}x floor (spawn warm "
-            f"{current['spawn_warm_ms']:.1f}ms / session warm "
-            f"{current['session_warm_ms']:.1f}ms)"
-        )
-    ceiling = baseline["session_warm_ms"] * DISPATCH_WALL_SLACK
-    if current["session_warm_ms"] > ceiling:
-        failures.append(
-            f"{DISPATCH}: warm session wall regressed past the "
-            f"{DISPATCH_WALL_SLACK:.0f}x slack: "
-            f"{current['session_warm_ms']:.1f}ms > {ceiling:.1f}ms "
-            f"(baseline {baseline['session_warm_ms']:.1f}ms)"
-        )
-    return failures
+def summary(gate, values, baseline=None):
+    """The gated and shown fields, each gated one that is not pinned to
+    its baseline followed by the baseline value."""
+    fields = {field: rule for field, rule, *_ in gate["gates"]}
+    fields.update(dict.fromkeys(gate.get("shown", ())))
+    return " ".join(
+        f"{field}={fmt(values[field])}"
+        + (f" (baseline {fmt(baseline[field])})"
+           if baseline and rule not in (None, "exact", "fixed", "served")
+           else "")
+        for field, rule in fields.items()
+    )
 
 
 def record(args):
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for sweep in SWEEPS:
-        current = distill(
-            load_bench(args.cached, sweep), load_bench(args.uncached, sweep),
-            sweep,
-        )
-        path = out / f"{sweep}.json"
+    for gate in GATES:
+        current = distill(gate, args)
+        path = out / f"{gate['name']}.json"
         with open(path, "w") as handle:
             json.dump(current, handle, indent=2, sort_keys=True)
             handle.write("\n")
-        print(
-            f"recorded {path}: runs={current['runs']} "
-            f"hit_rate={current['hit_rate']:.3f} "
-            f"speedup={current['speedup']:.2f} "
-            f"elapsed_speedup={current['elapsed_speedup']:.2f}"
-        )
-    current = distill_ref_scaling(load_bench(args.cached, REF_SCALING))
-    path = out / f"{REF_SCALING}.json"
-    with open(path, "w") as handle:
-        json.dump(current, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"recorded {path}: events={current['events']} "
-        f"decisions={current['decisions']} "
-        f"wall_ms_per_run={current['ref_wall_ms_per_run']:.2f}"
-    )
-    current = distill_serve(load_bench(args.cached, SERVE))
-    path = out / f"{SERVE}.json"
-    with open(path, "w") as handle:
-        json.dump(current, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"recorded {path}: orgs={current['orgs']} "
-        f"decisions={current['decisions']} "
-        f"decisions_per_sec={current['decisions_per_sec']:.0f} "
-        f"p99={current['latency_p99_ns']}ns"
-    )
-    current = distill_dispatch(load_dispatch_bench(args.cached))
-    path = out / f"{DISPATCH}.json"
-    with open(path, "w") as handle:
-        json.dump(current, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(
-        f"recorded {path}: workers={current['workers']} "
-        f"shards={current['shards']} "
-        f"warm_speedup={current['warm_speedup']:.2f}"
-    )
+        print(f"recorded {path}: {summary(gate, current)}")
     return 0
 
 
 def check(args):
     failures = []
-    for sweep in SWEEPS:
-        baseline_path = pathlib.Path(args.baselines) / f"{sweep}.json"
+    for gate in GATES:
+        name = gate["name"]
+        baseline_path = pathlib.Path(args.baselines) / f"{name}.json"
         if not baseline_path.is_file():
-            failures.append(f"{sweep}: no committed baseline {baseline_path}")
+            failures.append(f"{name}: no committed baseline {baseline_path}")
             continue
         baseline = load_json(baseline_path, "committed baseline")
-        current = distill(
-            load_bench(args.cached, sweep), load_bench(args.uncached, sweep),
-            sweep,
-        )
-
-        if current["runs"] != baseline["runs"]:
-            failures.append(
-                f"{sweep}: run count changed {baseline['runs']} -> "
-                f"{current['runs']} (re-record bench/baselines if intended)"
-            )
-        if current["hit_rate"] < baseline["hit_rate"] - HIT_RATE_EPSILON:
-            failures.append(
-                f"{sweep}: cache hit rate dropped "
-                f"{baseline['hit_rate']:.3f} -> {current['hit_rate']:.3f}"
-            )
-        # The ratio gate only where the cache shares real simulation work
-        # (replayed_runs > 0). Elsewhere — including fig10, whose hits are
-        # only cheap window-generation reuse — both runs do essentially
-        # identical work and the recorded "speedup" is timing noise around
-        # 1.0; hard-gating it would fail unrelated PRs on a loaded runner.
-        if baseline["replayed_runs"] > 0:
-            floor = baseline["speedup"] * (1.0 - args.tolerance)
-            if current["speedup"] < floor:
+        current = distill(gate, args)
+        for field, rule, param, *why in gate["gates"]:
+            bound = RULES[rule](current, baseline, field, param)
+            if bound is None:
+                continue
+            limit, op = bound
+            if not COMPARE[op](current[field], limit):
                 failures.append(
-                    f"{sweep}: cache speedup regressed >"
-                    f"{args.tolerance:.0%}: {current['speedup']:.2f} < "
-                    f"{floor:.2f} (baseline {baseline['speedup']:.2f})"
+                    f"{name}: {field}={fmt(current[field])} breaks the "
+                    f"{rule} gate ({op} {fmt(limit)}, baseline "
+                    f"{fmt(baseline.get(field))})"
+                    + "".join(f" — {reason}" for reason in why)
                 )
-        min_speedup = MIN_SPEEDUP.get(sweep)
-        if min_speedup and current["speedup"] < min_speedup:
-            failures.append(
-                f"{sweep}: cache speedup {current['speedup']:.2f} below "
-                f"the hard {min_speedup:.1f}x floor"
-            )
-        print(
-            f"{sweep}: runs={current['runs']} "
-            f"hit_rate={current['hit_rate']:.3f} "
-            f"speedup={current['speedup']:.2f} "
-            f"(baseline {baseline['speedup']:.2f}) "
-            f"elapsed_speedup={current['elapsed_speedup']:.2f}"
-        )
-
-    baseline_path = pathlib.Path(args.baselines) / f"{REF_SCALING}.json"
-    if not baseline_path.is_file():
-        failures.append(
-            f"{REF_SCALING}: no committed baseline {baseline_path}"
-        )
-    else:
-        baseline = load_json(baseline_path, "committed baseline")
-        current = distill_ref_scaling(load_bench(args.cached, REF_SCALING))
-        failures.extend(check_ref_scaling(baseline, current))
-        print(
-            f"{REF_SCALING}: events={current['events']} "
-            f"decisions={current['decisions']} "
-            f"wall_ms_per_run={current['ref_wall_ms_per_run']:.2f} "
-            f"(baseline {baseline['ref_wall_ms_per_run']:.2f}, "
-            f"slack {REF_SCALING_WALL_SLACK:.0f}x)"
-        )
-
-    baseline_path = pathlib.Path(args.baselines) / f"{SERVE}.json"
-    if not baseline_path.is_file():
-        failures.append(f"{SERVE}: no committed baseline {baseline_path}")
-    else:
-        baseline = load_json(baseline_path, "committed baseline")
-        current = distill_serve(load_bench(args.cached, SERVE))
-        failures.extend(check_serve(baseline, current))
-        print(
-            f"{SERVE}: orgs={current['orgs']} "
-            f"decisions={current['decisions']} "
-            f"decisions_per_sec={current['decisions_per_sec']:.0f} "
-            f"(baseline {baseline['decisions_per_sec']:.0f}, "
-            f"slack {SERVE_THROUGHPUT_SLACK:.0f}x) "
-            f"p99={current['latency_p99_ns']}ns"
-        )
-
-    baseline_path = pathlib.Path(args.baselines) / f"{DISPATCH}.json"
-    if not baseline_path.is_file():
-        failures.append(f"{DISPATCH}: no committed baseline {baseline_path}")
-    else:
-        baseline = load_json(baseline_path, "committed baseline")
-        current = distill_dispatch(load_dispatch_bench(args.cached))
-        failures.extend(check_dispatch(baseline, current))
-        print(
-            f"{DISPATCH}: workers={current['workers']} "
-            f"shards={current['shards']} "
-            f"warm_speedup={current['warm_speedup']:.2f} "
-            f"(floor {DISPATCH_MIN_WARM_SPEEDUP:.1f}x, baseline "
-            f"{baseline['warm_speedup']:.2f}) "
-            f"session_warm_ms={current['session_warm_ms']:.1f}"
-        )
+        print(f"{name}: {summary(gate, current, baseline)}")
 
     if failures:
         print("\nPERF REGRESSION:", file=sys.stderr)
@@ -535,7 +310,6 @@ def main():
         p.set_defaults(fn=fn)
     sub.choices["record"].add_argument("--out", default="bench/baselines")
     sub.choices["check"].add_argument("--baselines", default="bench/baselines")
-    sub.choices["check"].add_argument("--tolerance", type=float, default=0.25)
     args = parser.parse_args()
     try:
         return args.fn(args)

@@ -964,6 +964,42 @@ std::string custom_sweep_title(const SweepSpec& spec) {
   return title;
 }
 
+namespace {
+
+// The report that ends a sweep run and a merge alike: table, cache stats,
+// the strategy report with its --check-thm41 verdict, the spec's note,
+// then the CSV/JSON outputs. A partial shard passes its `partial_note`,
+// printed after the cache stats; it skips the strategy report, which needs
+// every cell (`merge` prints it over the folded whole instead). Returns
+// the exit code.
+int report_sweep(const SweepSpec& spec, const SweepResult& result,
+                 const ScenarioOptions& options,
+                 const char* partial_note = nullptr) {
+  std::FILE* human = human_file(options);
+  TableReporter table(human_stream(options));
+  table.report(spec, result);
+  print_cache_stats(result, human);
+  if (partial_note) std::fputs(partial_note, human);
+  int thm41_rc = 0;
+  if (spec.is_strategy() && !partial_note) {
+    strategy::print_strategy_report(spec, result, human_stream(options));
+    if (options.check_thm41) {
+      thm41_rc = strategy::check_theorem41(spec, result,
+                                           options.thm41_tolerance,
+                                           human_stream(options))
+                     ? 1
+                     : 0;
+    }
+  }
+  if (!spec.note.empty()) std::fprintf(human, "\n%s\n", spec.note.c_str());
+
+  if (const int rc = emit_csv_output(spec, result, options)) return rc;
+  if (const int rc = emit_json_baseline(spec, result, options)) return rc;
+  return thm41_rc;
+}
+
+}  // namespace
+
 int run_sweep_scenario(const SweepSpec& spec,
                        const ScenarioOptions& options) {
   const SweepShard shard = parse_shard_spec(options.shard);
@@ -1061,34 +1097,14 @@ int run_sweep_scenario(const SweepSpec& spec,
                  options.stream_records_path.c_str());
   }
 
-  TableReporter table(human_stream(options));
-  table.report(spec, result);
-  print_cache_stats(result, human);
-  if (!shard.whole()) {
-    std::fprintf(human,
-                 "note: partial result of shard %zu/%zu — cells owned by "
-                 "other shards read as zero (write --partial-out files "
-                 "and `merge` them for the full sweep)\n",
-                 shard.index, shard.count);
-  }
-  // The manipulation-gain report needs every cell, so a partial shard
-  // skips it — `merge` prints it over the folded whole instead.
-  int thm41_rc = 0;
-  if (spec.is_strategy() && shard.whole()) {
-    strategy::print_strategy_report(spec, result, human_stream(options));
-    if (options.check_thm41) {
-      thm41_rc = strategy::check_theorem41(spec, result,
-                                           options.thm41_tolerance,
-                                           human_stream(options))
-                     ? 1
-                     : 0;
-    }
-  }
-  if (!spec.note.empty()) std::fprintf(human, "\n%s\n", spec.note.c_str());
-
-  if (const int rc = emit_csv_output(spec, result, options)) return rc;
-  if (const int rc = emit_json_baseline(spec, result, options)) return rc;
-  return thm41_rc;
+  if (shard.whole()) return report_sweep(spec, result, options);
+  char partial_note[256];
+  std::snprintf(partial_note, sizeof(partial_note),
+                "note: partial result of shard %zu/%zu — cells owned by "
+                "other shards read as zero (write --partial-out files "
+                "and `merge` them for the full sweep)\n",
+                shard.index, shard.count);
+  return report_sweep(spec, result, options, partial_note);
 }
 
 namespace {
@@ -1244,27 +1260,9 @@ int run_merge_scenario(const std::vector<std::string>& paths,
   if (!spec.title.empty()) std::fprintf(human, "%s\n", spec.title.c_str());
   std::fprintf(human, "merged %zu shard artifact(s)\n", result.shards);
 
-  TableReporter table(human_stream(options));
-  table.report(spec, result);
-  print_cache_stats(result, human);
   // Merged strategy shards report exactly like the equivalent whole run:
   // the gain report derives from the folded cell aggregates alone.
-  int thm41_rc = 0;
-  if (spec.is_strategy()) {
-    strategy::print_strategy_report(spec, result, human_stream(options));
-    if (options.check_thm41) {
-      thm41_rc = strategy::check_theorem41(spec, result,
-                                           options.thm41_tolerance,
-                                           human_stream(options))
-                     ? 1
-                     : 0;
-    }
-  }
-  if (!spec.note.empty()) std::fprintf(human, "\n%s\n", spec.note.c_str());
-
-  if (const int rc = emit_csv_output(spec, result, options)) return rc;
-  if (const int rc = emit_json_baseline(spec, result, options)) return rc;
-  return thm41_rc;
+  return report_sweep(spec, result, options);
 }
 
 int run_plan_scenario(const SweepSpec& spec,

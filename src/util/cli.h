@@ -1,12 +1,13 @@
 #pragma once
 
-// Minimal command-line / environment flag parsing for the bench and example
-// binaries.
+// Minimal command-line / environment flag parsing for fairsched_exp and the
+// bench and example binaries.
 //
 // Flags are written `--name=value` (or `--name value`). For every flag there
 // is an environment-variable fallback `FAIRSCHED_<NAME>` (upper-cased, dashes
-// turned into underscores) so the whole bench suite can be scaled up or down
-// without editing command lines, e.g. `FAIRSCHED_INSTANCES=100 ./bench_table1`.
+// turned into underscores) so the whole experiment suite can be scaled up or
+// down without editing command lines, e.g.
+// `FAIRSCHED_INSTANCES=100 ./fairsched_exp table1`.
 
 #include <cstdint>
 #include <map>
