@@ -1474,6 +1474,7 @@ int run_rand_convergence_scenario(const ScenarioOptions& options) {
   print_cache_stats(result, human);
   std::fprintf(human, "\n%s\n", spec.note.c_str());
 
+  if (const int rc = emit_csv_output(spec, result, options)) return rc;
   return emit_json_baseline(spec, result, options);
 }
 

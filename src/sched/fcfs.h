@@ -4,7 +4,9 @@
 // the earliest release time (ties: lowest organization id). This is the
 // "arbitrary greedy algorithm" the library uses wherever the paper only
 // requires greediness — notably to evaluate the value of RAND's sampled
-// coalitions (justified for unit jobs by Proposition 5.4).
+// coalitions (justified for unit jobs by Proposition 5.4), which RAND
+// computes in closed form as FcfsValueCurve (sched/rand_fair.h;
+// tests/test_rand.cc checks the two agree).
 //
 // Incremental: each waiting organization's key is its front job's release
 // time; releases and starts touch one key, so an attached run answers

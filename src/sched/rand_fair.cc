@@ -1,8 +1,9 @@
 #include "sched/rand_fair.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <tuple>
 
-#include "sched/fcfs.h"
 #include "shapley/shapley.h"
 #include "util/rng.h"
 
@@ -11,6 +12,46 @@ namespace fairsched {
 std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
                                  double lambda) {
   return rand_sample_bound(k, epsilon, lambda);
+}
+
+FcfsValueCurve::FcfsValueCurve(const Instance& inst, Coalition coalition)
+    : inst_(&inst) {
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    if (!coalition.contains(u)) continue;
+    machines_ += inst.machines_of(u);
+    if (!inst.jobs_of(u).empty()) {
+      heads_.emplace(inst.job(u, 0).release, u, 0);
+    }
+  }
+}
+
+void FcfsValueCurve::advance_to(Time t) {
+  // Events in time order; a start and an end at one time fold at d = 0, so
+  // their order cannot move the sums. A start needs a free machine. With
+  // one free, every job released by the last event time (agg_.at) has
+  // started, so the next job starts at max(its release, agg_.at).
+  for (;;) {
+    const Time e = ends_.empty() ? kTimeInfinity : ends_.top();
+    const Time s = heads_.empty() || ends_.size() == machines_
+                       ? kTimeInfinity
+                       : std::max(std::get<0>(heads_.top()), agg_.at);
+    if (std::min(s, e) > t) break;
+    if (e <= s) {
+      agg_.fold_to(e);
+      agg_.running--;
+      ends_.pop();
+      continue;
+    }
+    agg_.fold_to(s);
+    agg_.running++;
+    const auto [release, u, index] = heads_.top();
+    heads_.pop();
+    if (index + 1 < inst_->jobs_of(u).size()) {
+      heads_.emplace(inst_->job(u, index + 1).release, u, index + 1);
+    }
+    ends_.push(s + inst_->job(u, index).processing);
+  }
+  now_ = t;
 }
 
 RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
@@ -26,65 +67,55 @@ RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
   grand_ = std::make_unique<Engine>(inst, Coalition::grand(k));
 
   // Prepare(C): N random orderings; each prefix pair (C', C' | u) is
-  // recorded for u. Distinct coalitions share one simplified engine.
+  // recorded for u. Distinct nonempty coalitions share one value curve.
   Rng rng(options_.seed);
-  prefix_masks_.resize(k);
-  auto ensure_engine = [&](Coalition::Mask mask) {
-    if (mask == 0) return;  // v(empty) = 0, no engine needed
-    auto& slot = sampled_[mask];
-    if (!slot) slot = std::make_unique<Engine>(inst, Coalition(mask));
-  };
+  std::vector<std::vector<std::pair<Coalition::Mask, Coalition::Mask>>>
+      mask_pairs(k);
+  std::vector<Coalition::Mask> masks;
   for (std::size_t i = 0; i < options_.samples; ++i) {
     const std::vector<std::uint32_t> order = rng.permutation(k);
     Coalition::Mask mask = 0;
     for (OrgId u : order) {
-      prefix_masks_[u].push_back(mask);
-      ensure_engine(mask);
-      mask |= Coalition::Mask{1} << u;
-      ensure_engine(mask);
+      const Coalition::Mask with_u = mask | (Coalition::Mask{1} << u);
+      mask_pairs[u].emplace_back(mask, with_u);
+      masks.push_back(with_u);
+      mask = with_u;
+    }
+  }
+  std::sort(masks.begin(), masks.end());
+  masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
+  curves_.reserve(masks.size());
+  for (Coalition::Mask mask : masks) {
+    curves_.emplace_back(inst, Coalition(mask));
+  }
+  auto curve_of = [&](Coalition::Mask mask) {
+    if (mask == 0) return PrefixPair::kEmpty;
+    return static_cast<std::uint32_t>(
+        std::lower_bound(masks.begin(), masks.end(), mask) - masks.begin());
+  };
+  pairs_.resize(k);
+  for (OrgId u = 0; u < k; ++u) {
+    pairs_[u].reserve(mask_pairs[u].size());
+    for (const auto& [before, with_u] : mask_pairs[u]) {
+      pairs_[u].push_back(PrefixPair{curve_of(before), curve_of(with_u)});
     }
   }
 }
 
-void RandScheduler::advance_sampled(Engine& engine, Time t) {
-  // Attach the greedy FCFS policy for the duration of this catch-up so its
-  // incremental mirror rides the push notifications instead of rebuilding
-  // per decision (it would still be exact unattached — just O(n) slower).
-  FcfsPolicy fcfs;
-  PolicyView view(engine);
-  engine.attach(&fcfs);
-  fcfs.reset(view);
-  for (;;) {
-    // Decision-granularity wake-ups (see Engine::next_decision_time);
-    // skipped releases are batch-processed in identical order.
-    const Time te = engine.next_decision_time();
-    if (te == kTimeInfinity || te > t) break;
-    engine.advance_to(te);
-    while (engine.needs_decision()) {
-      const OrgId u = fcfs.select(view);
-      // started-so-far == running + completed; the driver that decides also
-      // delivers on_start (start_front does not synthesize it).
-      const std::uint32_t index = engine.running(u) + engine.completed(u);
-      const MachineId m = engine.start_front(u);
-      fcfs.on_start(view, u, index, m);
-    }
-  }
-  engine.advance_to(t);
-  engine.attach(nullptr);
+void RandScheduler::advance_curves(Time t) {
+  for (FcfsValueCurve& curve : curves_) curve.advance_to(t);
 }
 
 std::vector<double> RandScheduler::contributions2() const {
   std::vector<double> phi2(inst_->num_orgs(), 0.0);
   for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
     double total = 0.0;
-    for (Coalition::Mask before : prefix_masks_[u]) {
-      const Coalition::Mask with_u = before | (Coalition::Mask{1} << u);
+    for (const PrefixPair& pair : pairs_[u]) {
       const double v_before =
-          before == 0
+          pair.before == PrefixPair::kEmpty
               ? 0.0
-              : static_cast<double>(sampled_.at(before)->value2());
-      const double v_with =
-          static_cast<double>(sampled_.at(with_u)->value2());
+              : static_cast<double>(curves_[pair.before].value2());
+      const double v_with = static_cast<double>(curves_[pair.with].value2());
       total += v_with - v_before;
     }
     phi2[u] = total / static_cast<double>(options_.samples);
@@ -100,11 +131,9 @@ void RandScheduler::run(Time horizon) {
     if (t == kTimeInfinity || t >= horizon) break;
     grand_->advance_to(t);
     if (!grand_->needs_decision()) continue;
-    // Bring every sampled coalition's simplified schedule to t so that the
-    // contribution estimates are current.
-    for (auto& [mask, engine] : sampled_) {
-      advance_sampled(*engine, t);
-    }
+    // Read every sampled coalition's value at t so that the contribution
+    // estimates are current.
+    advance_curves(t);
     const std::vector<double> phi2 = contributions2();
     while (grand_->needs_decision()) {
       OrgId best = kNoOrg;
@@ -122,9 +151,7 @@ void RandScheduler::run(Time horizon) {
     }
   }
   grand_->advance_to(horizon);
-  for (auto& [mask, engine] : sampled_) {
-    advance_sampled(*engine, horizon);
-  }
+  advance_curves(horizon);
 }
 
 std::vector<HalfUtil> RandScheduler::utilities2() const {

@@ -10,19 +10,23 @@
 // unit-size jobs).
 //
 // The value v(C') of a sampled coalition is read off a *simplified*
-// schedule maintained for it. For unit-size jobs any greedy schedule yields
-// the same value (Prop. 5.4), so the simplified schedules are driven by an
-// arbitrary greedy policy (FCFS here); with jobs of mixed sizes this is the
-// heuristic the paper evaluates in Section 7. Distinct permutation prefixes
-// that induce the same coalition share one engine.
+// schedule for it. For unit-size jobs any greedy schedule yields the same
+// value (Prop. 5.4), so the simplified schedules use an arbitrary greedy
+// policy (FCFS here); with jobs of mixed sizes this is the heuristic the
+// paper evaluates in Section 7. On identical machines FCFS is a list
+// schedule in (release, org, index) order that needs no simulation: each
+// simplified schedule is an FcfsValueCurve, and distinct permutation
+// prefixes that induce the same coalition share one curve.
 //
 // The real (grand-coalition) schedule starts the front job of the waiting
 // organization maximizing the estimated deficit phi(u) - psi(u), exactly as
 // REF does with the exact contributions.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "core/coalition.h"
@@ -43,6 +47,44 @@ struct RandOptions {
 std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
                                  double lambda);
 
+// The value curve t -> 2*v(C, t) of coalition C's FCFS schedule.
+//
+// FCFS starts the waiting job with the earliest release (ties: lowest
+// organization, then FIFO index). Every job released by t outranks every
+// job released after t, so on identical machines FCFS is a list schedule:
+// jobs start in that key order (a k-way merge of the members'
+// release-sorted job lists), each as soon as it is released and a machine
+// is free. The value does not depend on which machine runs a job, so the
+// curve tracks only the end times of the running jobs (a min-heap) and
+// folds starts and ends, in time order, into an Engine::AggSnapshot — the
+// same integer accrual an engine driven by FcfsPolicy computes, so
+// value2() is bit-identical to that engine's (tests/test_rand.cc). The
+// schedule is extended lazily, up to the latest time queried: memory is
+// O(members + machines), and no job starting after the last query is
+// placed. A coalition owning no machines starts nothing; its value stays 0.
+class FcfsValueCurve {
+ public:
+  FcfsValueCurve(const Instance& inst, Coalition coalition);
+
+  // Folds every start and end at or before t. t must not decrease across
+  // calls.
+  void advance_to(Time t);
+  // 2 * v(C, t) at the latest advance_to time t.
+  HalfUtil value2() const { return agg_.value2_at(now_); }
+
+ private:
+  // FCFS key of a member's front unplaced job: (release, org, index).
+  using Head = std::tuple<Time, OrgId, std::uint32_t>;
+
+  const Instance* inst_;
+  std::uint32_t machines_ = 0;
+  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads_;
+  // Ends of the running jobs (at most machines_ of them).
+  std::priority_queue<Time, std::vector<Time>, std::greater<Time>> ends_;
+  Engine::AggSnapshot agg_;
+  Time now_ = 0;
+};
+
 class RandScheduler {
  public:
   RandScheduler(const Instance& inst, RandOptions options = {});
@@ -54,23 +96,31 @@ class RandScheduler {
   std::int64_t work_done() const { return grand_->total_work_done(); }
   // Estimated contributions phi (time units) at the current clock.
   std::vector<double> contributions() const;
-  // Number of distinct sampled coalitions actually simulated.
-  std::size_t distinct_coalitions() const { return sampled_.size(); }
+  // Number of distinct nonempty sampled coalitions (one value curve each).
+  std::size_t distinct_coalitions() const { return curves_.size(); }
 
  private:
-  // Advances a sampled coalition's simplified FCFS schedule to time t.
-  void advance_sampled(Engine& engine, Time t);
-  // phi2 estimates from the sampled engines at the grand engine's clock.
+  // One permutation's (C', C' | u) pair for an organization u, as indices
+  // into curves_; kEmpty stands for C' = {} (v = 0, no curve).
+  struct PrefixPair {
+    static constexpr std::uint32_t kEmpty = UINT32_MAX;
+    std::uint32_t before;
+    std::uint32_t with;
+  };
+
+  // Brings every sampled coalition's value curve to time t.
+  void advance_curves(Time t);
+  // phi2 estimates from the sampled curves at their current time.
   std::vector<double> contributions2() const;
 
   const Instance* inst_;
   RandOptions options_;
   std::unique_ptr<Engine> grand_;
-  // mask -> simplified engine for the sampled coalition.
-  std::unordered_map<Coalition::Mask, std::unique_ptr<Engine>> sampled_;
-  // Per organization: masks of the sampled "predecessor" coalitions C'
-  // (one per permutation; the pair is (C', C' | u)). Multiplicity matters.
-  std::vector<std::vector<Coalition::Mask>> prefix_masks_;
+  // Distinct nonempty sampled coalitions, ascending by mask.
+  std::vector<FcfsValueCurve> curves_;
+  // Per organization: one pair per permutation, in draw order.
+  // Multiplicity matters.
+  std::vector<std::vector<PrefixPair>> pairs_;
   bool ran_ = false;
 };
 

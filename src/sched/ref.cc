@@ -56,17 +56,14 @@ const std::vector<double>& RefScheduler::contributions2_of(
   phi2.assign(inst_->num_orgs(), 0.0);
   const ShapleyWeights& w = weights_[c.size() - 1];
   // Pass 1: one O(1) closed-form read per subcoalition off the flat
-  // aggregate mirror — the identical expression Engine::value2_at
-  // evaluates (see Engine::AggSnapshot), so the result is bit-identical to
-  // advancing the engine to t and reading value2(). The global (time,
-  // size) order guarantees no subcoalition has an unprocessed completion
-  // at or before t, which is value2_at's validity condition.
+  // aggregate mirror — AggSnapshot::value2_at, the expression
+  // Engine::value2 evaluates, so the result is bit-identical to advancing
+  // the engine to t and reading value2(). The global (time, size) order
+  // guarantees no subcoalition has an unprocessed completion at or before
+  // t, which is the condition for reading a snapshot ahead.
   for_each_subset(c, [&](Coalition sub) {
     if (sub.is_empty()) return;
-    const Engine::AggSnapshot& s = agg_[sub.mask()];
-    const Time d = t - s.at;
-    vcache_[sub.mask()] = static_cast<double>(
-        s.psi2 + 2 * s.work * d + static_cast<HalfUtil>(s.running) * d * (d + 1));
+    vcache_[sub.mask()] = static_cast<double>(agg_[sub.mask()].value2_at(t));
   });
   // Pass 2: the subset formula (Eq. 1). Subset enumeration order and the
   // ascending member order of the inner loop match the historical scan, so

@@ -117,10 +117,8 @@ void Engine::lazy_accrue(OrgId u) const {
 }
 
 void Engine::fold_aggregate() {
-  if (agg_at_ == now_) return;
-  agg_psi2_ = value2();
-  agg_work_ = total_work_done();
-  agg_at_ = now_;
+  if (agg_.at == now_) return;
+  agg_.fold_to(now_);
   sync_mirror();
 }
 
@@ -146,7 +144,7 @@ void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
   acc.running_jobs--;
   assert(accounts_[owner].busy_machines > 0);
   accounts_[owner].busy_machines--;
-  agg_running_--;
+  agg_.running--;
   sync_mirror();
   completed_[org]++;
   if (options_.machine_pick == MachinePick::kFirstFree) {
@@ -282,7 +280,7 @@ MachineId Engine::start_front(OrgId u) {
   fold_aggregate();
   accounts_[u].running_jobs++;
   accounts_[owner].busy_machines++;
-  agg_running_++;
+  agg_.running++;
   sync_mirror();
   if (options_.machine_pick == MachinePick::kFirstFree) {
     events_.push(EngineEvent{now_ + job.processing, EventKind::kCompletion, u,

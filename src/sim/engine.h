@@ -44,11 +44,13 @@
 //
 // The engine is a manually steppable state machine (advance_to /
 // start_front) so that ensemble schedulers (REF drives one engine per
-// subcoalition; RAND one per sampled coalition) can interleave many engines
-// on one timeline. `run(policy, horizon)` is the convenience driver used by
-// ordinary policies; it attaches the policy so the push notifications of
-// the incremental Policy API (sim/policy.h) are delivered. Manual drivers
-// may attach a listener themselves via attach().
+// subcoalition) can interleave many engines on one timeline. RAND needs no
+// engine for its sampled coalitions: their FCFS schedules are closed-form
+// list schedules (sched/rand_fair.h) read through AggSnapshot.
+// `run(policy, horizon)` is the convenience driver used by ordinary
+// policies; it attaches the policy so the push notifications of the
+// incremental Policy API (sim/policy.h) are delivered. Manual drivers may
+// attach a listener themselves via attach().
 //
 // An engine can be restricted to a coalition: only member organizations'
 // machines exist and only their jobs arrive. Organization ids keep their
@@ -58,7 +60,6 @@
 // accruals forward through mutable state, so concurrent reads of one
 // engine are not safe (the sweep executors give every run its own engine).
 
-#include <cassert>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -209,40 +210,41 @@ class Engine {
     lazy_accrue(u);
     return accounts_[u].contrib_work;
   }
-  // Coalition value 2*v = sum of member utilities. O(1): closed form over
-  // the aggregate (total work, total psi2, running count) running sums.
-  HalfUtil value2() const { return value2_at(now_); }
-  // Coalition value at a FUTURE time t >= now() without touching the
-  // engine. Only valid when the caller guarantees no pending *completion*
-  // is due at or before t — then no schedule change can land in (now, t]
-  // and the closed form extends exactly. Pending releases at or before t
-  // are harmless: a waiting job accrues nothing, so admitting it cannot
-  // move the value. REF's global (time, size) event order provides the
-  // guarantee for subcoalition reads. Bit-identical to advance_to(t)
-  // followed by value2() — both evaluate the same expression at d = t -
-  // agg_at_.
-  HalfUtil value2_at(Time t) const {
-    assert(t == now_ || (t > now_ && next_completion() > t));
-    const Time d = t - agg_at_;
-    return agg_psi2_ + 2 * agg_work_ * d +
-           static_cast<HalfUtil>(agg_running_) * d * (d + 1);
-  }
-  // Total completed unit parts (the paper's p_tot for this schedule). O(1).
-  std::int64_t total_work_done() const {
-    const Time d = now_ - agg_at_;
-    return agg_work_ + static_cast<std::int64_t>(agg_running_) * d;
-  }
-
-  // The aggregate running sums behind value2_at, exact at `at`. Evaluating
-  //   psi2 + 2*work*d + running*d*(d+1)   with d = t - at
-  // is the identical expression value2_at computes, so a reader holding a
-  // snapshot gets bit-identical values without touching the engine.
+  // The coalition-level aggregate running sums, exact at `at`: completed
+  // unit parts, 2*psi summed over member organizations, and jobs running.
+  // The closed form of the header note splits across sub-intervals, so
+  // value2_at / work_at extend a snapshot exactly to any t >= at as long
+  // as no job starts or completes in (at, t]. Releases are harmless: a
+  // waiting job accrues nothing. This is the single accrual expression
+  // every coalition-value reader evaluates (this engine, REF's flat mirror
+  // array read ahead to its decision time, RAND's FCFS value curves),
+  // which is what keeps their values bit-identical.
   struct AggSnapshot {
     std::int64_t work = 0;
     HalfUtil psi2 = 0;
     std::uint32_t running = 0;
     Time at = 0;
+
+    HalfUtil value2_at(Time t) const {
+      const Time d = t - at;
+      return psi2 + 2 * work * d + static_cast<HalfUtil>(running) * d * (d + 1);
+    }
+    std::int64_t work_at(Time t) const {
+      return work + static_cast<std::int64_t>(running) * (t - at);
+    }
+    // Moves the snapshot to t (before a change of `running` at t).
+    void fold_to(Time t) {
+      psi2 = value2_at(t);
+      work = work_at(t);
+      at = t;
+    }
   };
+
+  // Coalition value 2*v = sum of member utilities. O(1): closed form over
+  // the aggregate (total work, total psi2, running count) running sums.
+  HalfUtil value2() const { return agg_.value2_at(now_); }
+  // Total completed unit parts (the paper's p_tot for this schedule). O(1).
+  std::int64_t total_work_done() const { return agg_.work_at(now_); }
 
   // Registers a write-through mirror of the aggregate sums (nullptr
   // detaches). The engine refreshes *slot whenever the aggregates change,
@@ -298,12 +300,10 @@ class Engine {
   // the total running count changes.
   void fold_aggregate();
   // Refreshes the registered aggregate mirror, if any. Must run after every
-  // change to the agg_* fields (fold_aggregate and the running-count
-  // updates in start_front / apply_completion).
+  // change to agg_ (fold_aggregate and the running-count updates in
+  // start_front / apply_completion).
   void sync_mirror() {
-    if (agg_mirror_ != nullptr) {
-      *agg_mirror_ = AggSnapshot{agg_work_, agg_psi2_, agg_running_, agg_at_};
-    }
+    if (agg_mirror_ != nullptr) *agg_mirror_ = agg_;
   }
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
@@ -321,8 +321,8 @@ class Engine {
   CalendarQueue events_;
   // Pending completion times of the unified stream (duplicating the times
   // of the calendar's completion entries): O(1) next_completion() for the
-  // wake-skipping of next_decision_time() and the value2_at precondition,
-  // which the mixed-kind calendar cannot answer cheaply.
+  // wake-skipping of next_decision_time(), which the mixed-kind calendar
+  // cannot answer cheaply.
   std::priority_queue<Time, std::vector<Time>, std::greater<Time>>
       completion_times_;
 
@@ -382,12 +382,8 @@ class Engine {
   std::uint32_t free_machines_ = 0;
   std::uint32_t total_machines_ = 0;
 
-  // Aggregate running sums behind value2()/total_work_done(), exact at
-  // agg_at_.
-  std::int64_t agg_work_ = 0;
-  HalfUtil agg_psi2_ = 0;
-  std::uint32_t agg_running_ = 0;
-  Time agg_at_ = 0;
+  // Aggregate running sums behind value2()/total_work_done().
+  AggSnapshot agg_;
   AggSnapshot* agg_mirror_ = nullptr;
 
   std::uint64_t events_processed_ = 0;
