@@ -1428,6 +1428,7 @@ int run_utilization_scenario(const ScenarioOptions& options) {
                worst, below);
   print_cache_stats(result, human);
 
+  if (const int rc = emit_csv_output(spec, result, options)) return rc;
   const int json_rc = emit_json_baseline(spec, result, options);
   if (below > 0) return 1;
   return json_rc;

@@ -1,10 +1,8 @@
 #include "sched/ref.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
-
-#include "sched/org_index.h"
 
 namespace fairsched {
 
@@ -40,35 +38,34 @@ RefScheduler::RefScheduler(const Instance& inst, RefOptions options)
         "algorithm (max 16)");
   }
   engines_.resize(std::size_t{1} << k);
-  agg_.assign(std::size_t{1} << k, Engine::AggSnapshot{});
   for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
     engines_[mask] = std::make_unique<Engine>(inst, Coalition(mask));
-    engines_[mask]->mirror_aggregate(&agg_[mask]);
   }
   vcache_.assign(engines_.size(), 0.0);
   weights_.reserve(k);
   for (std::uint32_t s = 1; s <= k; ++s) weights_.emplace_back(s);
 }
 
-const std::vector<double>& RefScheduler::contributions2_of(
-    Coalition c, Time t, Coalition relevant) const {
+HalfUtil RefScheduler::subvalue2_at(Coalition::Mask sub, Time t) {
+  ValueCursor& cursor = cursors_[sub];
+  const std::vector<ValueStep>& steps = steps_[sub];
+  while (cursor.next < steps.size() && steps[cursor.next].time <= t) {
+    cursor.agg.fold_to(steps[cursor.next].time);
+    cursor.agg.running = steps[cursor.next].running;
+    ++cursor.next;
+  }
+  return cursor.agg.value2_at(t);
+}
+
+const std::vector<double>& RefScheduler::shapley2(Coalition c,
+                                                  Coalition relevant) const {
   std::vector<double>& phi2 = phi2_scratch_;
   phi2.assign(inst_->num_orgs(), 0.0);
   const ShapleyWeights& w = weights_[c.size() - 1];
-  // Pass 1: one O(1) closed-form read per subcoalition off the flat
-  // aggregate mirror — AggSnapshot::value2_at, the expression
-  // Engine::value2 evaluates, so the result is bit-identical to advancing
-  // the engine to t and reading value2(). The global (time, size) order
-  // guarantees no subcoalition has an unprocessed completion at or before
-  // t, which is the condition for reading a snapshot ahead.
-  for_each_subset(c, [&](Coalition sub) {
-    if (sub.is_empty()) return;
-    vcache_[sub.mask()] = static_cast<double>(agg_[sub.mask()].value2_at(t));
-  });
-  // Pass 2: the subset formula (Eq. 1). Subset enumeration order and the
-  // ascending member order of the inner loop match the historical scan, so
-  // every floating-point accumulation happens in the same sequence. The
-  // inner loop visits only members of `relevant`: phi2[u] accumulators are
+  // The subset formula (Eq. 1). Subset enumeration order and the ascending
+  // member order of the inner loop match the historical scan, so every
+  // floating-point accumulation happens in the same sequence. The inner
+  // loop visits only members of `relevant`: phi2[u] accumulators are
   // independent, so skipping orgs the caller will not read leaves the
   // computed entries bit-identical while cutting the pass by |relevant|/|c|.
   for_each_subset(c, [&](Coalition sub) {
@@ -134,7 +131,9 @@ OrgId RefScheduler::select_generic(Coalition c, Time t) {
   const UtilityFunction& util = *options_.generic_utility;
   std::vector<double> psi(inst_->num_orgs(), 0.0);
   std::vector<double> phi(inst_->num_orgs(), 0.0);
-  // v(C', t) for the Shapley formula, from the generic utility.
+  // v(C', t) for the Shapley formula, from the generic utility. Proper
+  // subcoalition schedules already run to the horizon; eval ignores their
+  // placements starting at or after t (the UtilityFunction contract).
   const ShapleyWeights& w = weights_[c.size() - 1];
   for_each_subset(c, [&](Coalition sub) {
     if (sub.is_empty()) return;
@@ -183,11 +182,6 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
   e.advance_to(t);
   if (!e.needs_decision()) return;
   if (options_.generic_utility == nullptr) {
-    // Subcoalition engines are NOT advanced here: by the global loop's
-    // (time, size) order they have no unprocessed events at or before t,
-    // so their values are O(1) closed-form reads at t (value2_at) off
-    // untouched engines — no O(2^s) clock-advance sweep per burst.
-    //
     // The contribution vector is burst-invariant: starting a job at t adds
     // no *accrued* value at t itself, so no subcoalition value v(C', t) —
     // and hence no Shapley sum — changes until the clock moves. Hoisting
@@ -215,7 +209,12 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
       }
       return;
     }
-    const std::vector<double>& phi2 = contributions2_of(c, t, Coalition(wmask));
+    for_each_subset(c, [&](Coalition sub) {
+      if (sub.is_empty() || sub == c) return;
+      vcache_[sub.mask()] = static_cast<double>(subvalue2_at(sub.mask(), t));
+    });
+    vcache_[c.mask()] = static_cast<double>(e.value2());
+    const std::vector<double>& phi2 = shapley2(c, Coalition(wmask));
     while (e.needs_decision()) {
       const OrgId u = select_sp(c, phi2);
       if (u == kNoOrg) {
@@ -225,15 +224,9 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
     }
     return;
   }
-  // Generic Distance rule: bring every subcoalition to t (closed-form
-  // accrual only, their events at times <= t are already processed) and
-  // evaluate per decision, completely unhoisted — an arbitrary
-  // UtilityFunction may react to schedule changes in ways we do not
-  // control.
-  for_each_subset(c, [&](Coalition sub) {
-    if (sub.is_empty() || sub == c) return;
-    engines_[sub.mask()]->advance_to(t);
-  });
+  // Generic Distance rule, evaluated per decision, completely unhoisted —
+  // an arbitrary UtilityFunction may react to schedule changes in ways we
+  // do not control.
   while (e.needs_decision()) {
     const OrgId u = select_generic(c, t);
     if (u == kNoOrg) {
@@ -243,49 +236,44 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
   }
 }
 
+void RefScheduler::run_coalition(Coalition c, Time horizon) {
+  Engine& e = *engines_[c.mask()];
+  // Only the psi_sp rule reads value steps, and only supersets read them.
+  std::vector<ValueStep>* steps =
+      options_.generic_utility == nullptr && c != grand_ ? &steps_[c.mask()]
+                                                         : nullptr;
+  for_each_subset(c, [&](Coalition sub) { cursors_[sub.mask()] = {}; });
+  std::uint32_t running = 0;
+  for (;;) {
+    // Running counts change only at these wake-ups: a completion is always
+    // a decision time (next_decision_time <= next_completion), and starts
+    // happen only in process_coalition_at.
+    const Time t = e.next_decision_time();
+    if (t == kTimeInfinity || t >= horizon) break;
+    process_coalition_at(c, t);
+    const std::uint32_t now_running = e.total_machines() - e.free_machines();
+    if (steps != nullptr && now_running != running) {
+      steps->push_back(ValueStep{t, now_running});
+      running = now_running;
+    }
+  }
+  // Every coalition's steps stay until the grand coalition has run, so
+  // drop the vector's growth slack to lower REF's peak memory.
+  if (steps != nullptr) steps->shrink_to_fit();
+  e.advance_to(horizon);
+}
+
 void RefScheduler::run(Time horizon) {
   if (ran_) throw std::logic_error("RefScheduler::run called twice");
   ran_ = true;
-
-  // Global wake-up loop over all coalitions, ordered by (time, coalition
-  // size, mask) — the same lexicographic total order the former
-  // std::priority_queue<tuple> used (KeyedArgmin breaks key ties toward
-  // the lower id, i.e. the lower mask), so the processing sequence is
-  // identical. A coalition's entry is re-armed after each processing;
-  // entries never go stale because only processing a coalition changes its
-  // own wake-up time. The tournament tree stays L1-resident (2^(k+1)
-  // nodes) and a re-arm is k+1 node updates.
-  //
-  // Entries are armed with next_decision_time(), not next_event(): while a
-  // coalition has no free machine, releases cannot enable a decision, so
-  // the skipped wake-ups are batch-processed (in identical order) by the
-  // advance_to of the next completion-time wake — the decision sequence is
-  // unchanged and the loop pops a fraction of the entries.
-  KeyedArgmin<std::pair<Time, std::uint32_t>> queue;
-  queue.init(static_cast<std::uint32_t>(engines_.size()));
+  steps_.resize(engines_.size());
+  cursors_.resize(engines_.size());
+  // Ascending masks list every proper subset of a coalition before it.
   for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    const Time t = engines_[mask]->next_decision_time();
-    if (t != kTimeInfinity && t < horizon) {
-      queue.set(mask, {t, Coalition(mask).size()});
-    }
+    run_coalition(Coalition(mask), horizon);
   }
-  for (;;) {
-    const std::uint32_t mask = queue.argmin();
-    if (mask == KeyedArgmin<std::pair<Time, std::uint32_t>>::kNone) break;
-    // The armed time: unchanged since arming, because no other coalition's
-    // processing touches this engine.
-    const Time t = engines_[mask]->next_decision_time();
-    process_coalition_at(Coalition(mask), t);
-    const Time next = engines_[mask]->next_decision_time();
-    if (next != kTimeInfinity && next < horizon) {
-      queue.set(mask, {next, Coalition(mask).size()});
-    } else {
-      queue.clear(mask);
-    }
-  }
-  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    engines_[mask]->advance_to(horizon);
-  }
+  steps_ = {};
+  cursors_ = {};
 }
 
 std::vector<HalfUtil> RefScheduler::utilities2() const {
@@ -297,8 +285,11 @@ std::vector<HalfUtil> RefScheduler::utilities2() const {
 }
 
 std::vector<double> RefScheduler::contributions() const {
-  std::vector<double> phi2 =
-      contributions2_of(grand_, grand_engine().now(), grand_);
+  // Every engine stands at the horizon once run() returns.
+  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
+    vcache_[mask] = static_cast<double>(engines_[mask]->value2());
+  }
+  std::vector<double> phi2 = shapley2(grand_, grand_);
   for (double& p : phi2) p /= 2.0;
   return phi2;
 }

@@ -11,22 +11,28 @@
 // Fig. 3; with the generic Distance rule of Fig. 1 available for arbitrary
 // utility functions — both provably coincide for psi_sp, which tests verify).
 //
-// Scheduling decisions of C recursively depend on the subcoalitions'
-// schedules *at the same time moment* (Definition 3.1); we drive all 2^k-1
-// engines through one global event timeline ordered by (time, coalition
-// size): by the time coalition C acts at time t, every subcoalition has
-// already processed its own events at t, so its value v(C', t) is current.
-// Between events, engines advance by closed-form accrual only (a greedy
-// algorithm makes no decision while no machine frees and no job arrives),
-// which makes the event-driven run identical to the paper's per-time-moment
-// loop.
+// Scheduling decisions of C at time t depend only on the values v(C', t)
+// of its proper subcoalitions (Definition 3.1), never on C's supersets. So
+// run() simulates one coalition at a time, to the horizon, in ascending
+// mask order: every proper subset of a mask is a smaller number, so each
+// subcoalition is finished before any superset starts. Each engine wakes
+// only at its decision times (Engine::next_decision_time), which makes the
+// event-driven run identical to the paper's per-time-moment loop: a greedy
+// algorithm makes no decision while no machine frees and no job arrives.
+//
+// As a coalition runs it records a value step (time, running jobs) at
+// every time its running count changes. Between steps the value follows
+// the closed form of Engine::AggSnapshot, so a superset reads v(C', t) by
+// moving a forward cursor over C''s steps and folding the snapshot — the
+// engine's own integer arithmetic, hence bit-identical values.
 //
 // Complexity per decision *burst* of a size-s coalition: O(2^s * s) for the
 // hoisted Shapley subset formula (the contribution vector cannot change
 // while the clock stands still, so repeat decisions at one time moment
 // reuse it; Prop. 3.4 aggregate: O(k * 3^k) per time moment), with each
-// subcoalition value an O(1) closed-form read off the engine's aggregate
-// accounting. Memory O(2^k) engines. The constructor rejects k > 16.
+// subcoalition value an amortized O(1) cursor read. Memory: O(2^k) engines
+// plus 16 bytes per value step, released when run() returns. The
+// constructor rejects k > 16.
 
 #include <cstdint>
 #include <memory>
@@ -43,7 +49,10 @@ namespace fairsched {
 
 // Pluggable utility for the generic Distance rule (Fig. 1). Evaluates the
 // utility of organization `org` at time `t` in the given schedule. Only the
-// executed parts of jobs may influence the value (non-clairvoyance).
+// executed parts of jobs may influence the value (non-clairvoyance): eval
+// must ignore every placement that starts at or after t. REF relies on
+// this, because it evaluates subcoalition schedules that already run to
+// the horizon.
 class UtilityFunction {
  public:
   virtual ~UtilityFunction() = default;
@@ -97,21 +106,38 @@ class RefScheduler {
 
  private:
   const Engine& grand_engine() const { return *engines_[grand_.mask()]; }
-  Engine& engine_mut(Coalition c) { return *engines_[c.mask()]; }
+
+  // A change of a coalition's running-job count: from `time` on (until the
+  // next step) `running` jobs run.
+  struct ValueStep {
+    Time time;
+    std::uint32_t running;
+  };
+  // Forward reader of one subcoalition's value steps.
+  struct ValueCursor {
+    Engine::AggSnapshot agg;
+    std::size_t next = 0;
+  };
+
+  // Runs coalition `c` to `horizon`, recording its value steps when a
+  // superset will read them.
+  void run_coalition(Coalition c, Time horizon);
 
   // Processes coalition `c`'s due events at time t and makes its scheduling
-  // decisions; subcoalitions are brought to time t first.
+  // decisions. Every proper subcoalition has already run to the horizon.
   void process_coalition_at(Coalition c, Time t);
+
+  // 2*v(sub, t) of a finished proper subcoalition, read through its cursor;
+  // t must not decrease between reads of one cursor.
+  HalfUtil subvalue2_at(Coalition::Mask sub, Time t);
 
   // Contributions phi2 (in half-units, doubles because of the factorial
   // weights) of the members of `relevant` (a subset of `c`) from the
-  // subcoalition values at time t (valid when no subcoalition has
-  // unprocessed events at or before t). Entries outside `relevant` are
+  // subcoalition values in vcache_ (Eq. 1). Entries outside `relevant` are
   // left at zero — each phi2[u] is an independent accumulator, so
   // restricting the set changes nothing about the computed values.
   // Returns a reference to a scratch buffer overwritten by the next call.
-  const std::vector<double>& contributions2_of(Coalition c, Time t,
-                                               Coalition relevant) const;
+  const std::vector<double>& shapley2(Coalition c, Coalition relevant) const;
 
   // Distance rule of Fig. 1 for the generic utility: the (doubled) distance
   // after tentatively starting `u`'s front job at time t.
@@ -130,16 +156,13 @@ class RefScheduler {
   Coalition grand_;
   std::vector<std::unique_ptr<Engine>> engines_;  // indexed by mask; [0] null
   std::vector<ShapleyWeights> weights_;           // per coalition size 1..k
-  // Per-burst scratch for contributions2_of: subcoalition values indexed by
-  // mask, and the returned contribution vector (both overwritten per call).
+  // Value steps and read cursors, indexed by mask; filled during run().
+  std::vector<std::vector<ValueStep>> steps_;
+  std::vector<ValueCursor> cursors_;
+  // Scratch for shapley2: coalition values indexed by mask, and the
+  // returned contribution vector (both overwritten per call).
   mutable std::vector<double> vcache_;
   mutable std::vector<double> phi2_scratch_;
-  // Write-through aggregate mirrors, indexed by mask: each engine refreshes
-  // its slot whenever its aggregates change, so the Shapley pass reads all
-  // 2^s subcoalition values from one flat array (cache-friendly) instead of
-  // dereferencing 2^s scattered engine objects. Never resized after the
-  // constructor registers the slots.
-  std::vector<Engine::AggSnapshot> agg_;
   bool ran_ = false;
 };
 

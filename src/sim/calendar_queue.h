@@ -37,8 +37,7 @@
 // a non-negative `time` field and a strict total order refining time works.
 // The engine instantiates it for EngineEvent. (Note: a calendar queue wants
 // a population whose times spread over many buckets — a small set of
-// near-simultaneous entries degenerates into one long bucket, which is why
-// REF's 2^k-coalition wake-up loop uses a tournament tree instead.)
+// near-simultaneous entries degenerates into one long bucket.)
 //
 // Buckets are skew heaps (top-down self-adjusting min-heaps) over all nodes
 // in one pooled array recycled through a free list: pushes and pops never

@@ -117,9 +117,7 @@ void Engine::lazy_accrue(OrgId u) const {
 }
 
 void Engine::fold_aggregate() {
-  if (agg_.at == now_) return;
-  agg_.fold_to(now_);
-  sync_mirror();
+  if (agg_.at != now_) agg_.fold_to(now_);
 }
 
 void Engine::advance_clock(Time t) {
@@ -145,7 +143,6 @@ void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
   assert(accounts_[owner].busy_machines > 0);
   accounts_[owner].busy_machines--;
   agg_.running--;
-  sync_mirror();
   completed_[org]++;
   if (options_.machine_pick == MachinePick::kFirstFree) {
     free_set_.insert(machine);
@@ -281,7 +278,6 @@ MachineId Engine::start_front(OrgId u) {
   accounts_[u].running_jobs++;
   accounts_[owner].busy_machines++;
   agg_.running++;
-  sync_mirror();
   if (options_.machine_pick == MachinePick::kFirstFree) {
     events_.push(EngineEvent{now_ + job.processing, EventKind::kCompletion, u,
                              index, m});

@@ -43,8 +43,9 @@
 // commutative within one timestamp.
 //
 // The engine is a manually steppable state machine (advance_to /
-// start_front) so that ensemble schedulers (REF drives one engine per
-// subcoalition) can interleave many engines on one timeline. RAND needs no
+// start_front) so that ensemble schedulers can make the decisions
+// themselves: REF drives one engine per subcoalition, and its decisions
+// read the values of engines that already ran (sched/ref.h). RAND needs no
 // engine for its sampled coalitions: their FCFS schedules are closed-form
 // list schedules (sched/rand_fair.h) read through AggSnapshot.
 // `run(policy, horizon)` is the convenience driver used by ordinary
@@ -216,9 +217,9 @@ class Engine {
   // value2_at / work_at extend a snapshot exactly to any t >= at as long
   // as no job starts or completes in (at, t]. Releases are harmless: a
   // waiting job accrues nothing. This is the single accrual expression
-  // every coalition-value reader evaluates (this engine, REF's flat mirror
-  // array read ahead to its decision time, RAND's FCFS value curves),
-  // which is what keeps their values bit-identical.
+  // every coalition-value reader evaluates (this engine, REF's value-step
+  // cursors, RAND's FCFS value curves), which is what keeps their values
+  // bit-identical.
   struct AggSnapshot {
     std::int64_t work = 0;
     HalfUtil psi2 = 0;
@@ -245,17 +246,6 @@ class Engine {
   HalfUtil value2() const { return agg_.value2_at(now_); }
   // Total completed unit parts (the paper's p_tot for this schedule). O(1).
   std::int64_t total_work_done() const { return agg_.work_at(now_); }
-
-  // Registers a write-through mirror of the aggregate sums (nullptr
-  // detaches). The engine refreshes *slot whenever the aggregates change,
-  // so ensemble drivers holding many engines (REF: one per subcoalition)
-  // can read all coalition values from one flat, cache-friendly array
-  // instead of chasing a pointer per engine. The slot must outlive the
-  // engine or be detached first.
-  void mirror_aggregate(AggSnapshot* slot) {
-    agg_mirror_ = slot;
-    sync_mirror();
-  }
 
   const Schedule& schedule() const { return schedule_; }
 
@@ -299,12 +289,6 @@ class Engine {
   // Folds the engine-level aggregate sums to now(); must be called before
   // the total running count changes.
   void fold_aggregate();
-  // Refreshes the registered aggregate mirror, if any. Must run after every
-  // change to agg_ (fold_aggregate and the running-count updates in
-  // start_front / apply_completion).
-  void sync_mirror() {
-    if (agg_mirror_ != nullptr) *agg_mirror_ = agg_;
-  }
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
   void apply_completion(Time t, OrgId org, MachineId machine);
@@ -384,7 +368,6 @@ class Engine {
 
   // Aggregate running sums behind value2()/total_work_done().
   AggSnapshot agg_;
-  AggSnapshot* agg_mirror_ = nullptr;
 
   std::uint64_t events_processed_ = 0;
   std::uint64_t decisions_ = 0;

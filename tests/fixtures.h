@@ -1,0 +1,81 @@
+#pragma once
+
+// Instances and digests shared by the golden tests of the fair schedulers
+// (test_rand.cc, test_ref.cc).
+
+#include <cstdint>
+#include <string>
+
+#include "core/instance.h"
+#include "core/schedule.h"
+#include "util/rng.h"
+
+namespace fairsched {
+namespace fixtures {
+
+// Unit jobs released in [0, 30) on k organizations owning one or two
+// machines each.
+inline Instance unit_instance(std::uint32_t k, std::uint32_t jobs_per_org,
+                              std::uint64_t seed) {
+  InstanceBuilder b;
+  Rng rng(seed);
+  for (std::uint32_t u = 0; u < k; ++u) {
+    b.add_org("o" + std::to_string(u), 1 + static_cast<std::uint32_t>(
+                                               rng.uniform_u64(2)));
+  }
+  for (std::uint32_t u = 0; u < k; ++u) {
+    for (std::uint32_t i = 0; i < jobs_per_org; ++i) {
+      b.add_job(u, static_cast<Time>(rng.uniform_u64(30)), 1);
+    }
+  }
+  return std::move(b).build();
+}
+
+// Mixed-size jobs on five organizations, two of which own no machines, so
+// some coalitions have no machine at all.
+inline Instance zero_machine_instance() {
+  InstanceBuilder b;
+  Rng rng(404);
+  const std::uint32_t machines[] = {2, 1, 0, 3, 0};
+  for (std::uint32_t u = 0; u < 5; ++u) {
+    b.add_org("o" + std::to_string(u), machines[u]);
+  }
+  for (std::uint32_t u = 0; u < 5; ++u) {
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      b.add_job(u, static_cast<Time>(rng.uniform_u64(150)),
+                1 + static_cast<Time>(rng.uniform_u64(12)));
+    }
+  }
+  return std::move(b).build();
+}
+
+inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
+
+// Folds v into the FNV-1a hash h, one byte at a time (little end first).
+inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ULL;
+  }
+}
+
+// Folds every placement (org, index, start, machine) of `schedule`, in
+// schedule order, into h.
+inline void fnv_mix_placements(std::uint64_t& h, const Schedule& schedule) {
+  for (const Placement& p : schedule.placements()) {
+    fnv_mix(h, p.org);
+    fnv_mix(h, p.index);
+    fnv_mix(h, static_cast<std::uint64_t>(p.start));
+    fnv_mix(h, p.machine);
+  }
+}
+
+// FNV-1a over every placement of `schedule`.
+inline std::uint64_t placement_digest(const Schedule& schedule) {
+  std::uint64_t h = kFnvOffset;
+  fnv_mix_placements(h, schedule);
+  return h;
+}
+
+}  // namespace fixtures
+}  // namespace fairsched

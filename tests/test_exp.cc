@@ -1355,6 +1355,31 @@ TEST(Scenarios, RandConvergenceWritesItsCsv) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Scenarios, UtilizationWritesItsCsv) {
+  // utilization used to accept --csv and exit 0 without writing the file.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fairsched_util_csv";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ScenarioOptions options;
+  options.smoke = true;
+  options.csv_path = (dir / "cells.csv").string();
+  options.json_path = (dir / "bench.json").string();
+  ASSERT_EQ(run_utilization_scenario(options), 0);
+  std::ifstream in(options.csv_path);
+  ASSERT_TRUE(in.good()) << options.csv_path;
+  std::string header;
+  std::getline(in, header);
+  EXPECT_EQ(header.rfind("sweep,workload,policy,", 0), 0u) << header;
+  std::size_t rows = 0;
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_EQ(line.rfind("utilization,", 0), 0u) << line;
+    ++rows;
+  }
+  EXPECT_EQ(rows, make_utilization_sweep(options).policies.size());
+  std::filesystem::remove_all(dir);
+}
+
 TEST(Scenarios, StrategySweepPlaysTheDefaultGridOnAContendedPlatform) {
   ScenarioOptions options;
   const SweepSpec spec = make_strategy_sweep(options);

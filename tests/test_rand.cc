@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "fixtures.h"
 #include "metrics/fairness.h"
 #include "metrics/utility.h"
 #include "sched/fcfs.h"
@@ -15,58 +16,9 @@
 namespace fairsched {
 namespace {
 
-Instance unit_instance(std::uint32_t k, std::uint32_t jobs_per_org,
-                       std::uint64_t seed) {
-  InstanceBuilder b;
-  Rng rng(seed);
-  for (std::uint32_t u = 0; u < k; ++u) {
-    b.add_org("o" + std::to_string(u), 1 + static_cast<std::uint32_t>(
-                                               rng.uniform_u64(2)));
-  }
-  for (std::uint32_t u = 0; u < k; ++u) {
-    for (std::uint32_t i = 0; i < jobs_per_org; ++i) {
-      b.add_job(u, static_cast<Time>(rng.uniform_u64(30)), 1);
-    }
-  }
-  return std::move(b).build();
-}
-
-// Mixed-size jobs on five organizations, two of which own no machines, so
-// some sampled coalitions have no machine at all.
-Instance zero_machine_instance() {
-  InstanceBuilder b;
-  Rng rng(404);
-  const std::uint32_t machines[] = {2, 1, 0, 3, 0};
-  for (std::uint32_t u = 0; u < 5; ++u) {
-    b.add_org("o" + std::to_string(u), machines[u]);
-  }
-  for (std::uint32_t u = 0; u < 5; ++u) {
-    for (std::uint32_t i = 0; i < 30; ++i) {
-      b.add_job(u, static_cast<Time>(rng.uniform_u64(150)),
-                1 + static_cast<Time>(rng.uniform_u64(12)));
-    }
-  }
-  return std::move(b).build();
-}
-
-// FNV-1a over every placement (org, index, start, machine) in schedule
-// order.
-std::uint64_t placement_digest(const Schedule& schedule) {
-  std::uint64_t h = 14695981039346656037ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (const Placement& p : schedule.placements()) {
-    mix(p.org);
-    mix(p.index);
-    mix(static_cast<std::uint64_t>(p.start));
-    mix(p.machine);
-  }
-  return h;
-}
+using fixtures::placement_digest;
+using fixtures::unit_instance;
+using fixtures::zero_machine_instance;
 
 struct RandGolden {
   std::vector<HalfUtil> utilities2;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fixtures.h"
 #include "metrics/utility.h"
 #include "workload/synthetic.h"
 
@@ -196,6 +197,122 @@ TEST(Ref, ReferenceWorkCountsCompletedParts) {
   RefScheduler ref(inst);
   ref.run(9);
   EXPECT_EQ(ref.reference_work(), completed_work(inst, ref.schedule(), 9));
+}
+
+TEST(Ref, UtilitiesIgnorePlacementsStartingAtOrAfterT) {
+  // The UtilityFunction contract the generic rule relies on: REF reads
+  // v(C', t) off subcoalition schedules that already extend past t.
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 3, 600, MachineSplit::kUniform, 1.0, 53);
+  RefScheduler ref(inst);
+  ref.run(600);
+  const Schedule& full = ref.schedule();
+  SpUtilityFn sp;
+  CompletedWorkUtilityFn throughput;
+  for (Time t : {Time{0}, Time{1}, Time{57}, Time{250}, Time{599}}) {
+    Schedule before(inst.num_orgs());
+    for (const Placement& p : full.placements()) {
+      if (p.start < t) before.add(p);
+    }
+    for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+      EXPECT_EQ(sp.eval(inst, full, u, t), sp.eval(inst, before, u, t))
+          << "t=" << t << " org=" << u;
+      EXPECT_EQ(throughput.eval(inst, full, u, t),
+                throughput.eval(inst, before, u, t))
+          << "t=" << t << " org=" << u;
+    }
+  }
+}
+
+struct RefGolden {
+  std::vector<HalfUtil> utilities2;
+  std::vector<double> contributions;
+  // FNV-1a over every coalition's mask and placements, in mask order.
+  std::uint64_t digest;
+  // Summed over all coalition engines.
+  std::uint64_t events;
+  std::uint64_t decisions;
+};
+
+void expect_golden(const Instance& inst, Time horizon, const RefGolden& golden,
+                   RefOptions options = {}) {
+  RefScheduler ref(inst, options);
+  ref.run(horizon);
+  EXPECT_EQ(ref.utilities2(), golden.utilities2);
+  EXPECT_EQ(ref.contributions(), golden.contributions);
+  std::uint64_t digest = fixtures::kFnvOffset;
+  std::uint64_t events = 0;
+  std::uint64_t decisions = 0;
+  for (Coalition::Mask mask = 1; mask < (Coalition::Mask{1} << inst.num_orgs());
+       ++mask) {
+    const Engine& e = ref.engine(Coalition(mask));
+    fixtures::fnv_mix(digest, mask);
+    fixtures::fnv_mix_placements(digest, e.schedule());
+    events += e.events_processed();
+    decisions += e.decisions_made();
+  }
+  EXPECT_EQ(digest, golden.digest);
+  EXPECT_EQ(events, golden.events);
+  EXPECT_EQ(decisions, golden.decisions);
+}
+
+// Pinned REF output: utilities, contributions at the horizon, a digest of
+// every coalition's schedule and the summed engine counters. The values
+// were recorded with all coalitions interleaved on one global (time, size,
+// mask) event order; any other order that runs every subcoalition before
+// its supersets must reproduce them.
+TEST(RefGolden, LpcEgeeZipfSixOrgs) {
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 6, 10000, MachineSplit::kZipf, 1.0, 2013);
+  expect_golden(
+      inst, 10000,
+      {{1153164528, 291310972, 739396634, 820992014, 301903118, 812699136},
+       {0x1.3513f5ef1111p+29, 0x1.7576e63cccccdp+27, 0x1.148342bd9999ap+28,
+        0x1.6313cbc51111p+28, 0x1.599bff6777778p+27, 0x1.63081fdd11111p+28},
+       0xfad8944918574d91ULL,
+       64996,
+       32408});
+}
+
+TEST(RefGolden, UnitJobs) {
+  expect_golden(
+      fixtures::unit_instance(5, 40, 7), 100,
+      {{6872, 6696, 6874, 6752, 6922},
+       {0x1.af0cccccccccdp+11, 0x1.9decccccccccdp+11, 0x1.aedcccccccccep+11,
+        0x1.a66f777777778p+11, 0x1.b1fa222222224p+11},
+       0x4cdfd466661c400cULL,
+       6400,
+       3200});
+}
+
+TEST(RefGolden, ZeroMachineOrgs) {
+  expect_golden(
+      fixtures::zero_machine_instance(), 200,
+      {{41032, 50692, 44698, 47316, 48842},
+       {0x1.cf9aeeeeeeeeep+14, 0x1.5fab444444446p+14, 0x1.551fddddddddep+13,
+        0x1.41a4f77777777p+15, 0x1.77cfddddddddfp+13},
+       0x4e2c3861b35211edULL,
+       4493,
+       2102});
+}
+
+TEST(RefGolden, GenericRuleWithCompletedWork) {
+  // An instance on which the Fig. 1 rule with CompletedWorkUtilityFn
+  // schedules differently from psi_sp.
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 5, 2000, MachineSplit::kZipf, 1.0, 47);
+  CompletedWorkUtilityFn throughput;
+  RefOptions options;
+  options.generic_utility = &throughput;
+  expect_golden(
+      inst, 2000,
+      {{1150690, 7222234, 5788216, 28008810, 6555716},
+       {0x1.23e6391111112p+19, 0x1.afb8f4eeeeefp+21, 0x1.64665aeeeeeeep+21,
+        0x1.ab8541e666667p+23, 0x1.92cca24444444p+21},
+       0xdbcccd9bd0311a26ULL,
+       4950,
+       2750},
+      options);
 }
 
 }  // namespace
