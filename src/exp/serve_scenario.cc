@@ -86,8 +86,8 @@ SourceHandle open_source(const ScenarioOptions& options) {
 // Resolves --policy (after --config registered any config-defined
 // entries) and rejects the shapes serve mode cannot drive: whole-schedule
 // algorithms (REF/RAND) re-plan globally instead of deciding per event,
-// and kRandomFree entries (DIRECTCONTR) need the legacy presorted-release
-// engine structures.
+// and kRandomFree entries (DIRECTCONTR) need the random machine pick while
+// ServeSession always builds a kFirstFree engine.
 std::unique_ptr<Policy> make_serve_policy(const ScenarioOptions& options,
                                           std::string* canonical) {
   if (!options.config_path.empty()) {
@@ -105,8 +105,8 @@ std::unique_ptr<Policy> make_serve_policy(const ScenarioOptions& options,
   if (definition->engine_options.machine_pick != MachinePick::kFirstFree) {
     throw std::invalid_argument(
         "policy '" + options.policy +
-        "' needs the random-free machine pick, which serve mode does not "
-        "support");
+        "' needs the random-free machine pick; serve sessions run a "
+        "first-free engine");
   }
   *canonical = registry.canonical_name(spec);
   return registry.make_policy(spec, options.seed);

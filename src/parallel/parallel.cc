@@ -146,18 +146,18 @@ void ParallelEngine::run(Time horizon) {
 
   while (now_ < horizon) {
     if (running_.empty() && waiting_total_ == 0) {
-      if (release_ptr_ >= releases_.size()) {
+      if (next_release_ >= releases_.size()) {
         fast_forward_psi(horizon);
         break;
       }
-      fast_forward_psi(std::min(horizon, releases_[release_ptr_].time));
+      fast_forward_psi(std::min(horizon, releases_[next_release_].time));
       if (now_ >= horizon) break;
     }
-    while (release_ptr_ < releases_.size() &&
-           releases_[release_ptr_].time <= now_) {
-      released_[releases_[release_ptr_].org]++;
+    while (next_release_ < releases_.size() &&
+           releases_[next_release_].time <= now_) {
+      released_[releases_[next_release_].org]++;
       waiting_total_++;
-      release_ptr_++;
+      next_release_++;
     }
     try_starts();
 

@@ -99,20 +99,20 @@ void RelatedEngine::run(const Selector& select, Time horizon) {
   while (now_ < horizon) {
     // Fast-forward across fully idle stretches.
     if (busy_machines == 0 && waiting_total == 0) {
-      if (release_ptr_ >= releases_.size()) {
+      if (next_release_ >= releases_.size()) {
         fast_forward_psi(horizon);
         break;
       }
-      fast_forward_psi(std::min(horizon, releases_[release_ptr_].time));
+      fast_forward_psi(std::min(horizon, releases_[next_release_].time));
       if (now_ >= horizon) break;
     }
 
     // Admit releases due at or before now_.
-    while (release_ptr_ < releases_.size() &&
-           releases_[release_ptr_].time <= now_) {
-      released_[releases_[release_ptr_].org]++;
+    while (next_release_ < releases_.size() &&
+           releases_[next_release_].time <= now_) {
+      released_[releases_[next_release_].org]++;
       waiting_total++;
-      release_ptr_++;
+      next_release_++;
     }
 
     // Greedy scheduling of free machines.

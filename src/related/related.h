@@ -100,7 +100,7 @@ class RelatedEngine {
     OrgId org;
   };
   std::vector<Release> releases_;
-  std::size_t release_ptr_ = 0;
+  std::size_t next_release_ = 0;
 
   Time now_ = 0;
   bool ran_ = false;

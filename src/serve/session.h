@@ -23,10 +23,12 @@
 // with the same policy and seed (replay_batch below). The argument: the
 // inject loop only stops once every arrival at or before the next decision
 // time is pending, so each wake-up time equals the batch run's
-// next_decision_time; the calendar's drain order depends only on
-// event_before, never on insertion order, so advance_to applies the same
-// events in the same order; hence every select() sees the identical view
-// and the streams match. Enforced for every in-tree policy by
+// next_decision_time; the release and completion heaps pop in a total
+// order (sim/engine.h), so injection order cannot reorder releases, and
+// the completion heap sees the identical push/pop sequence (pushes come
+// from the identical decisions), so advance_to applies the same events in
+// the same order; hence every select() sees the identical view and the
+// streams match. Enforced for every in-tree policy by
 // tests/test_serve_replay.cc and the CI serve job. Corollaries: the
 // decision stream is independent of the stats interval, and a crashed
 // session recovers exactly by replaying its recorded event log.

@@ -11,67 +11,40 @@ Engine::Engine(const Instance& inst, Coalition active, EngineOptions options)
       active_(active),
       options_(options),
       rng_(options.seed),
+      completions_(PopsAfter{options.machine_pick == MachinePick::kRandomFree}),
       released_(inst.num_orgs(), 0),
       started_(inst.num_orgs(), 0),
       completed_(inst.num_orgs(), 0),
       accounts_(inst.num_orgs()),
       schedule_(inst.num_orgs()) {
-  const bool unified = options_.machine_pick == MachinePick::kFirstFree;
-  if (options_.external_releases) {
-    if (!unified) {
-      throw std::invalid_argument(
-          "external_releases requires MachinePick::kFirstFree (the legacy "
-          "kRandomFree structures presort all releases at construction)");
-    }
-    injected_.assign(inst.num_orgs(), 0);
-  }
+  if (options_.external_releases) injected_.assign(inst.num_orgs(), 0);
+  const bool first_free = options_.machine_pick == MachinePick::kFirstFree;
+  if (first_free) free_set_.init(inst.total_machines());
   std::size_t release_count = 0;
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     if (!active_.contains(u)) continue;
     const auto jobs = inst.jobs_of(u);
     release_count += jobs.size();
-    if (options_.external_releases) {
-      // The workload is fed through inject_release; nothing to preload.
-    } else if (unified) {
-      // Streamed releases: the calendar holds only each organization's
-      // earliest un-admitted release (advance_to pushes the successor when
-      // one is consumed), so the live population stays at ~(member orgs +
-      // running jobs) instead of the whole workload. Per-org job lists are
-      // release-sorted, so the global minimum release is always present and
-      // the drain order equals the full-preload order.
-      if (!jobs.empty()) {
-        events_.push(
-            EngineEvent{jobs[0].release, EventKind::kRelease, u, 0, kNoMachine});
-      }
-    } else {
-      for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-        releases_.push_back(Release{jobs[i].release, u});
-      }
+    // Streamed releases: the heap holds only each organization's earliest
+    // un-admitted release, so it stays at ~(member orgs) entries instead of
+    // the whole workload. Per-org job lists are release-sorted, so the
+    // global minimum release is always present and the drain order equals
+    // the full-preload order. In external-releases mode the driver feeds
+    // every release through inject_release instead.
+    if (!options_.external_releases && !jobs.empty()) {
+      releases_.push(Event{jobs[0].release, u, 0, kNoMachine});
     }
+    // All machines of member organizations start free.
     total_machines_ += inst.machines_of(u);
-  }
-  schedule_.reserve(release_count);
-  if (!unified) {
-    // Legacy order: by time, ties by org (per-org job lists are already
-    // release-sorted, so stable sort keeps index order within an org).
-    std::stable_sort(releases_.begin(), releases_.end(),
-                     [](const Release& a, const Release& b) {
-                       if (a.time != b.time) return a.time < b.time;
-                       return a.org < b.org;
-                     });
-  }
-  // All machines of member organizations start free.
-  if (unified) free_set_.init(inst.total_machines());
-  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    if (!active_.contains(u)) continue;
     for (MachineId m = inst.machine_begin(u); m < inst.machine_end(u); ++m) {
-      if (unified) {
+      if (first_free) {
         free_set_.insert(m);
       } else {
         free_list_.push_back(m);
       }
     }
   }
+  schedule_.reserve(release_count);
   free_machines_ = total_machines_;
 }
 
@@ -85,15 +58,7 @@ double Engine::share(OrgId u) const {
 }
 
 Time Engine::next_event() const {
-  if (options_.machine_pick == MachinePick::kFirstFree) {
-    return events_.empty() ? kTimeInfinity : events_.top().time;
-  }
-  Time t = kTimeInfinity;
-  if (release_ptr_ < releases_.size()) {
-    t = std::min(t, releases_[release_ptr_].time);
-  }
-  if (!completions_.empty()) t = std::min(t, completions_.top().time);
-  return t;
+  return std::min(next_release(), next_completion());
 }
 
 void Engine::lazy_accrue(OrgId u) const {
@@ -130,9 +95,7 @@ void Engine::advance_clock(Time t) {
   }
 }
 
-void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
-  assert(t == now_);
-  (void)t;
+void Engine::apply_completion(OrgId org, MachineId machine) {
   lazy_accrue(org);
   const OrgId owner = inst_->machine_owner(machine);
   lazy_accrue(owner);
@@ -146,10 +109,6 @@ void Engine::apply_completion(Time t, OrgId org, MachineId machine) {
   completed_[org]++;
   if (options_.machine_pick == MachinePick::kFirstFree) {
     free_set_.insert(machine);
-    // The applied completion is the earliest pending one (event_before
-    // refines time), so it is the top of the time heap.
-    assert(!completion_times_.empty() && completion_times_.top() == t);
-    completion_times_.pop();
   } else {
     free_list_.push_back(machine);
   }
@@ -173,49 +132,30 @@ void Engine::apply_release(OrgId org) {
 
 void Engine::advance_to(Time t) {
   assert(t >= now_);
-  if (options_.machine_pick == MachinePick::kFirstFree) {
-    // Unified stream: events due at or before t in event_before order.
-    while (!events_.empty() && events_.top().time <= t) {
-      const EngineEvent e = events_.pop();
-      advance_clock(e.time);
-      if (e.kind == EventKind::kCompletion) {
-        apply_completion(e.time, e.org, e.machine);
-      } else {
-        apply_release(e.org);
-        // Stream in the organization's next release (see the constructor).
-        // In external-releases mode the driver injects every release
-        // itself, so nothing is streamed here.
-        if (!options_.external_releases) {
-          const auto jobs = inst_->jobs_of(e.org);
-          const std::uint32_t next_i = e.index + 1;
-          if (next_i < jobs.size()) {
-            events_.push(EngineEvent{jobs[next_i].release,
-                                     EventKind::kRelease, e.org, next_i,
-                                     kNoMachine});
-          }
-        }
+  for (;;) {
+    // The earlier top goes first; on a tie the completion does (see the
+    // engine.h header note).
+    const bool completion = next_completion() <= next_release();
+    EventHeap& heap = completion ? completions_ : releases_;
+    if (heap.empty() || heap.top().time > t) break;
+    const Event e = heap.top();
+    heap.pop();
+    advance_clock(e.time);
+    if (completion) {
+      apply_completion(e.org, e.machine);
+      continue;
+    }
+    apply_release(e.org);
+    // Stream in the organization's next release (see the constructor).
+    if (!options_.external_releases) {
+      const auto jobs = inst_->jobs_of(e.org);
+      const std::uint32_t next_i = e.index + 1;
+      if (next_i < jobs.size()) {
+        releases_.push(Event{jobs[next_i].release, e.org, next_i, kNoMachine});
       }
     }
-    advance_clock(t);
-    return;
-  }
-  // Legacy kRandomFree order (see the engine.h tie-break note): all due
-  // completions in the heap's time-only order — their sequence feeds the
-  // random machine draw — then all due releases. Releases are pure
-  // bookkeeping (no accrual, no machine state), so processing them after
-  // later-timed completions is state-equivalent to interleaving.
-  while (!completions_.empty() && completions_.top().time <= t) {
-    const Completion c = completions_.top();
-    completions_.pop();
-    advance_clock(c.time);
-    apply_completion(c.time, c.org, c.machine);
   }
   advance_clock(t);
-  while (release_ptr_ < releases_.size() &&
-         releases_[release_ptr_].time <= t) {
-    apply_release(releases_[release_ptr_].org);
-    release_ptr_++;
-  }
 }
 
 Time Engine::inject_release(OrgId u) {
@@ -240,8 +180,7 @@ Time Engine::inject_release(OrgId u) {
         "fed in nondecreasing time order)");
   }
   injected_[u]++;
-  events_.push(
-      EngineEvent{job.release, EventKind::kRelease, u, index, kNoMachine});
+  releases_.push(Event{job.release, u, index, kNoMachine});
   return job.release;
 }
 
@@ -278,13 +217,7 @@ MachineId Engine::start_front(OrgId u) {
   accounts_[u].running_jobs++;
   accounts_[owner].busy_machines++;
   agg_.running++;
-  if (options_.machine_pick == MachinePick::kFirstFree) {
-    events_.push(EngineEvent{now_ + job.processing, EventKind::kCompletion, u,
-                             index, m});
-    completion_times_.push(now_ + job.processing);
-  } else {
-    completions_.push(Completion{now_ + job.processing, m, u, index});
-  }
+  completions_.push(Event{now_ + job.processing, u, index, m});
   schedule_.add(Placement{u, index, now_, m});
   decisions_++;
   return m;

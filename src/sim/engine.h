@@ -27,20 +27,31 @@
 //
 // --- Event queue and tie-break ---------------------------------------------
 //
-// Releases and completions feed one unified event stream held in a calendar
-// queue (sim/calendar_queue.h) with O(1) amortized push/pop. Simultaneous
-// events are ordered by the single tie-break rule defined ONCE as
-// `event_before` in that header: (time, completions-before-releases, org,
-// index). Deliberate exception: with MachinePick::kRandomFree the engine
-// keeps the historical structures (sorted release list + time-only binary
-// heap of completions). That heap's same-time pop order determines the
-// order machines return to the free list, which the random machine draw
-// indexes into — i.e. it is part of the published RNG stream of
-// DIRECTCONTR runs and cannot change without changing results. kFirstFree
-// engines (every other policy, REF, RAND — the performance-critical paths)
-// use the calendar queue, where same-time completion order is unobservable:
-// machines re-enter an id-ordered free set and all accounting is
-// commutative within one timestamp.
+// Releases and completions wait in two binary min-heaps of Event{time, org,
+// index, machine}: `releases_` ordered by (time, org, index) and
+// `completions_` ordered the same way. advance_to pops whichever top is
+// earlier and takes the completion when the times are equal, so
+// simultaneous events are applied in the one total order
+//
+//   (time, completions before releases, org, index)
+//
+// — machines freed at t are available to jobs arriving at t. The key is
+// unique per event (a job has one release and one completion), so the
+// drain order does not depend on the order events were pushed: a driver
+// that injects releases (EngineOptions::external_releases) sees the same
+// event sequence as a preloaded engine.
+//
+// One exception, and it is DIRECTCONTR's: with MachinePick::kRandomFree
+// the completion heap orders by time alone. Same-time completions then pop
+// in whatever order the heap's sifts leave them, which is a function of the
+// heap's push/pop sequence only — the same sequence the historical
+// time-only heap saw — so machines return to the free list in the
+// historical order that the random machine draw indexes into. That order
+// is part of DIRECTCONTR's published RNG stream and cannot change without
+// changing results (tests/test_policies.cc pins it). kFirstFree engines
+// (every other policy, REF, RAND) see no such effect: machines re-enter an
+// id-ordered free set and all accounting is commutative within one
+// timestamp.
 //
 // The engine is a manually steppable state machine (advance_to /
 // start_front) so that ensemble schedulers can make the decisions
@@ -69,7 +80,6 @@
 #include "core/instance.h"
 #include "core/schedule.h"
 #include "core/types.h"
-#include "sim/calendar_queue.h"
 #include "sim/policy.h"
 #include "util/rng.h"
 
@@ -87,13 +97,11 @@ struct EngineOptions {
   // Serve-mode seam (src/serve): the workload is not known at
   // construction. The engine preloads no releases; the driver grows the
   // instance's per-organization job lists (serve::LiveInstance) and feeds
-  // each release through inject_release as it learns of it. Requires
-  // kFirstFree (the legacy kRandomFree structures presort all releases at
-  // construction). Events injected up to any time T and then drained
-  // produce the exact state and event order a preloaded engine reaches at
-  // T — the calendar's drain order depends only on event_before, never on
-  // insertion order — which is what makes serve-vs-batch replay
-  // byte-identical (tests/test_serve_replay.cc).
+  // each release through inject_release as it learns of it. Events
+  // injected up to any time T and then drained produce the exact state and
+  // event order a preloaded engine reaches at T — the release heap's order
+  // is total, so it never depends on insertion order — which is what makes
+  // serve-vs-batch replay byte-identical (tests/test_serve_replay.cc).
   bool external_releases = false;
 };
 
@@ -114,10 +122,6 @@ class Engine {
 
   // Earliest pending completion, or kTimeInfinity if no job is running.
   Time next_completion() const {
-    if (options_.machine_pick == MachinePick::kFirstFree) {
-      return completion_times_.empty() ? kTimeInfinity
-                                       : completion_times_.top();
-    }
     return completions_.empty() ? kTimeInfinity : completions_.top().time;
   }
 
@@ -128,7 +132,7 @@ class Engine {
   // completion; otherwise any event can. Waking at these times only and
   // batch-processing the skipped events in the next advance_to yields the
   // exact same decision sequence as waking at every event: events are
-  // applied in the same `event_before` order either way, releases carry no
+  // applied in the same heap order either way, releases carry no
   // accrual, and every state a driver observes at a decision point is
   // identical.
   Time next_decision_time() const {
@@ -137,8 +141,8 @@ class Engine {
 
   // Advances the clock to t (>= now()): accrues utilities, completes jobs
   // due at or before t, and admits releases at or before t. Does not start
-  // any job. Events are processed in `event_before` order (kRandomFree: see
-  // the header note); the attached listener, if any, is notified per event.
+  // any job. Events are processed in the order of the header note; the
+  // attached listener, if any, is notified per event.
   void advance_to(Time t);
 
   // True when a scheduling decision is required (free machine + waiting job).
@@ -260,17 +264,25 @@ class Engine {
   std::uint64_t state_version() const { return events_processed_ + decisions_; }
 
  private:
-  // Legacy completion entry for the kRandomFree path (time-only order; see
-  // the header note on the tie-break exception).
-  struct Completion {
+  // One pending release or completion (see the header note).
+  struct Event {
     Time time;
-    MachineId machine;
     OrgId org;
-    std::uint32_t index;
-    bool operator>(const Completion& other) const {
-      return time > other.time;
+    std::uint32_t index;  // per-organization job index
+    MachineId machine;    // completions only
+  };
+  // Heap comparator: true when `a` pops after `b`. `time_only` is set for
+  // the kRandomFree completion heap only.
+  struct PopsAfter {
+    bool time_only = false;
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      if (time_only) return false;
+      if (a.org != b.org) return a.org > b.org;
+      return a.index > b.index;
     }
   };
+  using EventHeap = std::priority_queue<Event, std::vector<Event>, PopsAfter>;
 
   struct OrgAccount {
     std::int64_t work_done = 0;      // completed unit parts of own jobs
@@ -289,9 +301,12 @@ class Engine {
   // Folds the engine-level aggregate sums to now(); must be called before
   // the total running count changes.
   void fold_aggregate();
+  Time next_release() const {
+    return releases_.empty() ? kTimeInfinity : releases_.top().time;
+  }
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
-  void apply_completion(Time t, OrgId org, MachineId machine);
+  void apply_completion(OrgId org, MachineId machine);
   void apply_release(OrgId org);
   MachineId pick_machine();
 
@@ -300,27 +315,11 @@ class Engine {
   EngineOptions options_;
   Rng rng_;
 
-  // Unified event stream (kFirstFree engines): releases preloaded at
-  // construction, completions pushed as jobs start.
-  CalendarQueue events_;
-  // Pending completion times of the unified stream (duplicating the times
-  // of the calendar's completion entries): O(1) next_completion() for the
-  // wake-skipping of next_decision_time(), which the mixed-kind calendar
-  // cannot answer cheaply.
-  std::priority_queue<Time, std::vector<Time>, std::greater<Time>>
-      completion_times_;
-
-  // Legacy kRandomFree structures (see header note). Releases of active
-  // organizations sorted by (time, org); completions in a time-only heap.
-  struct Release {
-    Time time;
-    OrgId org;
-  };
-  std::vector<Release> releases_;
-  std::size_t release_ptr_ = 0;
-  std::priority_queue<Completion, std::vector<Completion>,
-                      std::greater<Completion>>
-      completions_;
+  // Batch mode holds each member organization's next release (advance_to
+  // pushes the successor when one is consumed); external-releases mode
+  // holds what inject_release pushed. Completions are pushed as jobs start.
+  EventHeap releases_;
+  EventHeap completions_;
 
   // Free machines, kFirstFree flavor: a bitmap over machine ids with a
   // first-possibly-set-word hint. pop_min() returns the lowest free id —

@@ -1,13 +1,18 @@
 #pragma once
 
 // Instances and digests shared by the golden tests of the fair schedulers
-// (test_rand.cc, test_ref.cc).
+// (test_rand.cc, test_ref.cc, test_policies.cc), and the serve-style
+// injection driver shared by the engine and serve-replay tests.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/instance.h"
 #include "core/schedule.h"
+#include "sim/engine.h"
+#include "sim/policy.h"
 #include "util/rng.h"
 
 namespace fairsched {
@@ -75,6 +80,53 @@ inline std::uint64_t placement_digest(const Schedule& schedule) {
   std::uint64_t h = kFnvOffset;
   fnv_mix_placements(h, schedule);
   return h;
+}
+
+// Every job of `inst` as the organization to inject, ordered by (release,
+// org); each organization's jobs appear in FIFO order.
+inline std::vector<OrgId> arrivals_by_release(const Instance& inst) {
+  std::vector<std::pair<Time, OrgId>> keyed;
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    for (const Job& job : inst.jobs_of(u)) keyed.emplace_back(job.release, u);
+  }
+  std::stable_sort(keyed.begin(), keyed.end());
+  std::vector<OrgId> arrivals;
+  for (const auto& [release, u] : keyed) arrivals.push_back(u);
+  return arrivals;
+}
+
+// Runs `policy` on an external-releases `engine` until `horizon` the way a
+// serve session does (serve/session.h): before each wake-up it injects, in
+// `arrivals` order, every release at or before the next decision time.
+// `arrivals` names one organization per job of the engine's instance and
+// must be nondecreasing in release time.
+inline void run_injected(Engine& engine, Policy& policy,
+                         const std::vector<OrgId>& arrivals, Time horizon) {
+  const Instance& inst = engine.instance();
+  PolicyView view(engine);
+  engine.attach(&policy);
+  policy.reset(view);
+  std::size_t next = 0;
+  for (;;) {
+    Time td = engine.next_decision_time();
+    while (next < arrivals.size()) {
+      const OrgId u = arrivals[next];
+      if (inst.job(u, engine.injected(u)).release > td) break;
+      engine.inject_release(u);
+      ++next;
+      td = engine.next_decision_time();
+    }
+    if (td >= horizon) break;
+    engine.advance_to(td);
+    while (engine.needs_decision()) {
+      const OrgId u = policy.select(view);
+      const std::uint32_t index = engine.schedule().num_started(u);
+      const MachineId m = engine.start_front(u);
+      policy.on_start(view, u, index, m);
+    }
+  }
+  engine.advance_to(horizon);
+  engine.attach(nullptr);
 }
 
 }  // namespace fixtures

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "exp/policy_registry.h"
+#include "fixtures.h"
 #include "metrics/utility.h"
+#include "sched/direct_contr.h"
 #include "sim/engine.h"
 #include "workload/synthetic.h"
 
@@ -113,6 +115,65 @@ TEST(DirectContr, CompensatesTheLender) {
   const auto start = r.schedule.start_of(a, 0);
   ASSERT_TRUE(start.has_value());
   EXPECT_EQ(*start, 20);
+}
+
+// Pinned DIRECTCONTR output: a digest of every placement (machine ids
+// included), both accounts of every organization, and the event and
+// decision counts. The machine draw indexes the free list in the order
+// same-time completions return machines to it, so these pin the engine's
+// completion order under MachinePick::kRandomFree along with the RNG
+// stream.
+struct DirectContrGolden {
+  std::vector<HalfUtil> psi2;
+  std::vector<HalfUtil> contrib_psi2;
+  std::uint64_t events;
+  std::uint64_t decisions;
+  std::uint64_t digest;
+};
+
+void expect_golden(const Instance& inst, std::uint64_t seed, Time horizon,
+                   const DirectContrGolden& golden) {
+  EngineOptions options;
+  options.machine_pick = MachinePick::kRandomFree;
+  options.seed = seed;
+  Engine engine(inst, options);
+  DirectContrPolicy policy;
+  engine.run(policy, horizon);
+  std::vector<HalfUtil> psi2;
+  std::vector<HalfUtil> contrib_psi2;
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    psi2.push_back(engine.psi2(u));
+    contrib_psi2.push_back(engine.contrib_psi2(u));
+  }
+  EXPECT_EQ(psi2, golden.psi2);
+  EXPECT_EQ(contrib_psi2, golden.contrib_psi2);
+  EXPECT_EQ(engine.events_processed(), golden.events);
+  EXPECT_EQ(engine.decisions_made(), golden.decisions);
+  EXPECT_EQ(fixtures::placement_digest(engine.schedule()), golden.digest);
+}
+
+// Unit jobs: every busy machine frees at every timestamp, so each draw
+// follows a batch of same-time completions.
+TEST(DirectContrGolden, UnitJobs) {
+  const DirectContrGolden golden{
+      {6872, 6696, 6874, 6752, 6922},
+      {7412, 3872, 7890, 7542, 7400},
+      400,
+      200,
+      0x6e77f32b23aa8d8aULL};
+  expect_golden(fixtures::unit_instance(5, 40, 7), 3, 100, golden);
+}
+
+TEST(DirectContrGolden, LpcEgeeZipfSixOrgs) {
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 6, 10000, MachineSplit::kZipf, 1.0, 2013);
+  const DirectContrGolden golden{
+      {1153164528, 291310972, 740382202, 820976708, 301903118, 810321268},
+      {1731413136, 746768426, 259242048, 327245726, 582540992, 470848468},
+      2084,
+      1067,
+      0x19cc5b7853ce32e5ULL};
+  expect_golden(inst, 1, 10000, golden);
 }
 
 TEST(Fcfs, OrdersByReleaseAcrossOrgs) {

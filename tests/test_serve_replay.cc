@@ -19,10 +19,13 @@
 #include "exp/policy_registry.h"
 #include "exp/scenarios.h"
 #include "exp/sweep_config.h"
+#include "fixtures.h"
+#include "sched/direct_contr.h"
 #include "serve/event_source.h"
 #include "serve/live_instance.h"
 #include "serve/session.h"
 #include "sim/engine.h"
+#include "workload/synthetic.h"
 
 namespace fairsched {
 namespace {
@@ -336,11 +339,44 @@ TEST(ServeReplayTest, InjectReleaseGuardsItsPreconditions) {
   // A non-external engine refuses injection outright.
   Engine batch(live.instance());
   EXPECT_THROW(batch.inject_release(0), std::logic_error);
-  // And external mode composes only with kFirstFree.
-  EngineOptions random_pick;
-  random_pick.external_releases = true;
-  random_pick.machine_pick = MachinePick::kRandomFree;
-  EXPECT_THROW(Engine(live.instance(), random_pick), std::invalid_argument);
+}
+
+// External releases compose with the random machine pick too: fed
+// serve-style, DIRECTCONTR's engine reproduces the preloaded run placement
+// for placement, machines included. The completion heap sees the same
+// push/pop sequence either way, so the random draw indexes the same free
+// list.
+void expect_injected_matches_preloaded(const Instance& inst) {
+  const Time horizon = inst.last_release() + 200;
+  EngineOptions options;
+  options.machine_pick = MachinePick::kRandomFree;
+  options.seed = 17;
+  Engine preloaded(inst, options);
+  DirectContrPolicy batch_policy;
+  preloaded.run(batch_policy, horizon);
+
+  options.external_releases = true;
+  Engine injected(inst, options);
+  DirectContrPolicy serve_policy;
+  fixtures::run_injected(injected, serve_policy,
+                         fixtures::arrivals_by_release(inst), horizon);
+
+  ASSERT_GT(preloaded.schedule().size(), 0u);
+  EXPECT_EQ(injected.schedule().placements(),
+            preloaded.schedule().placements());
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    EXPECT_EQ(injected.psi2(u), preloaded.psi2(u)) << "u=" << u;
+    EXPECT_EQ(injected.contrib_psi2(u), preloaded.contrib_psi2(u))
+        << "u=" << u;
+  }
+  EXPECT_EQ(injected.events_processed(), preloaded.events_processed());
+  EXPECT_EQ(injected.decisions_made(), preloaded.decisions_made());
+}
+
+TEST(ServeReplayTest, InjectedRandomFreeEngineMatchesThePreloadedRun) {
+  expect_injected_matches_preloaded(fixtures::unit_instance(5, 40, 7));
+  expect_injected_matches_preloaded(make_synthetic_instance(
+      preset_lpc_egee(), 5, 3000, MachineSplit::kZipf, 1.0, 91));
 }
 
 }  // namespace
