@@ -34,6 +34,13 @@ OrgId InstanceBuilder::add_org(std::string name, std::uint32_t machines) {
   return static_cast<OrgId>(orgs_.size() - 1);
 }
 
+void InstanceBuilder::reserve_jobs(OrgId org, std::size_t n) {
+  if (org >= orgs_.size()) {
+    throw std::out_of_range("reserve_jobs: unknown organization");
+  }
+  jobs_[org].reserve(n);
+}
+
 void InstanceBuilder::add_job(OrgId org, Time release, Time processing) {
   if (org >= orgs_.size()) {
     throw std::out_of_range("add_job: unknown organization");
@@ -58,10 +65,14 @@ Instance InstanceBuilder::build() && {
     // Stable sort: preserves submission order among equal releases, which
     // defines the organization's internal priority (the paper assumes jobs
     // of each organization are started in the order they are presented).
-    std::stable_sort(jobs.begin(), jobs.end(),
-                     [](const Job& a, const Job& b) {
-                       return a.release < b.release;
-                     });
+    // Streams are usually submitted in release order already, and a stable
+    // sort leaves a sorted range as it is, so the sort is skipped then.
+    const auto by_release = [](const Job& a, const Job& b) {
+      return a.release < b.release;
+    };
+    if (!std::is_sorted(jobs.begin(), jobs.end(), by_release)) {
+      std::stable_sort(jobs.begin(), jobs.end(), by_release);
+    }
     for (std::uint32_t i = 0; i < jobs.size(); ++i) {
       jobs[i].org = u;
       jobs[i].index = i;

@@ -98,6 +98,9 @@ class InstanceBuilder {
   // non-positive processing time or negative release.
   void add_job(OrgId org, Time release, Time processing);
 
+  // Capacity hint: `org` will receive about `n` jobs.
+  void reserve_jobs(OrgId org, std::size_t n);
+
   // Validates and produces the immutable instance. Throws on an empty
   // platform (no machines at all) with a non-empty workload.
   Instance build() &&;

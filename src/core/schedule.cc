@@ -10,7 +10,14 @@ void Schedule::add(const Placement& p) {
   placements_.push_back(p);
   if (p.org >= starts_.size()) starts_.resize(p.org + 1);
   auto& org_starts = starts_[p.org];
-  if (p.index >= org_starts.size()) org_starts.resize(p.index + 1, kNoTime);
+  // Engines start each organization's jobs in FIFO order, so a placement
+  // almost always appends. Any other index overwrites a start or leaves
+  // kNoTime gaps before it.
+  if (p.index == org_starts.size()) {
+    org_starts.push_back(p.start);
+    return;
+  }
+  if (p.index > org_starts.size()) org_starts.resize(p.index + 1, kNoTime);
   org_starts[p.index] = p.start;
 }
 

@@ -146,13 +146,22 @@ void Engine::advance_to(Time t) {
       continue;
     }
     apply_release(e.org);
-    // Stream in the organization's next release (see the constructor).
-    if (!options_.external_releases) {
-      const auto jobs = inst_->jobs_of(e.org);
-      const std::uint32_t next_i = e.index + 1;
-      if (next_i < jobs.size()) {
-        releases_.push(Event{jobs[next_i].release, e.org, next_i, kNoMachine});
+    if (options_.external_releases) continue;
+    // Stream in the organization's next releases (engine.h header note):
+    // a successor still earliest in the one order — at or before t,
+    // strictly before the next completion (which wins a tie), ahead of the
+    // release heap's top — is admitted here; the first that is not goes
+    // into the heap.
+    const auto jobs = inst_->jobs_of(e.org);
+    for (std::uint32_t i = e.index + 1; i < jobs.size(); ++i) {
+      const Event next{jobs[i].release, e.org, i, kNoMachine};
+      if (next.time > t || next.time >= next_completion() ||
+          (!releases_.empty() && !PopsAfter{}(releases_.top(), next))) {
+        releases_.push(next);
+        break;
       }
+      advance_clock(next.time);
+      apply_release(e.org);
     }
   }
   advance_clock(t);

@@ -41,6 +41,15 @@
 // that injects releases (EngineOptions::external_releases) sees the same
 // event sequence as a preloaded engine.
 //
+// A preloaded engine streams each organization's releases: the heap holds
+// only its next one. After a release pops, its successors are admitted
+// straight from the instance for as long as each is still the earliest
+// event of that order (at or before the advance_to target, strictly
+// before the next completion, ahead of the release heap's top); the first
+// that is not goes into the heap. That is the same rule applied without a
+// heap round-trip, and it is what keeps unit-piece deviations (one org's
+// jobs split into long same-release runs) cheap.
+//
 // One exception, and it is DIRECTCONTR's: with MachinePick::kRandomFree
 // the completion heap orders by time alone. Same-time completions then pop
 // in whatever order the heap's sifts leave them, which is a function of the

@@ -118,16 +118,23 @@ std::vector<Job> apply_deviation_to_jobs(std::span<const Job> jobs,
                                          const DeviationSpec& dev) {
   validate_deviation(dev);
   std::vector<Job> out;
+  // A job's piece count under kSplit (splitunit cuts it into unit pieces).
+  const auto pieces_of = [&dev](const Job& job) -> std::int64_t {
+    return dev.param == 0 ? job.processing
+                          : std::min<std::int64_t>(dev.param, job.processing);
+  };
   switch (dev.kind) {
     case DeviationSpec::Kind::kHonest:
       out.assign(jobs.begin(), jobs.end());
       return out;
-    case DeviationSpec::Kind::kSplit:
+    case DeviationSpec::Kind::kSplit: {
+      std::size_t total = 0;
       for (const Job& job : jobs) {
-        const std::int64_t pieces =
-            dev.param == 0
-                ? job.processing
-                : std::min<std::int64_t>(dev.param, job.processing);
+        total += static_cast<std::size_t>(pieces_of(job));
+      }
+      out.reserve(total);
+      for (const Job& job : jobs) {
+        const std::int64_t pieces = pieces_of(job);
         // Equal-as-possible piece sizes: the first `remainder` pieces get
         // one extra unit, so the pieces sum exactly to the original job.
         const Time base = job.processing / pieces;
@@ -139,10 +146,12 @@ std::vector<Job> apply_deviation_to_jobs(std::span<const Job> jobs,
         }
       }
       return out;
-    case DeviationSpec::Kind::kMerge:
+    }
+    case DeviationSpec::Kind::kMerge: {
+      const auto run_length = static_cast<std::size_t>(dev.param);
+      out.reserve((jobs.size() + run_length - 1) / run_length);
       for (std::size_t i = 0; i < jobs.size();) {
-        const std::size_t run = std::min<std::size_t>(
-            static_cast<std::size_t>(dev.param), jobs.size() - i);
+        const std::size_t run = std::min(run_length, jobs.size() - i);
         Job merged = jobs[i];
         for (std::size_t j = 1; j < run; ++j) {
           // FIFO streams are release-sorted, so the run's last release is
@@ -154,7 +163,9 @@ std::vector<Job> apply_deviation_to_jobs(std::span<const Job> jobs,
         i += run;
       }
       return out;
+    }
     case DeviationSpec::Kind::kDelay:
+      out.reserve(jobs.size());
       for (const Job& job : jobs) {
         Job delayed = job;
         delayed.release += dev.param;
@@ -162,6 +173,7 @@ std::vector<Job> apply_deviation_to_jobs(std::span<const Job> jobs,
       }
       return out;
     case DeviationSpec::Kind::kMisreport:
+      out.reserve(jobs.size());
       for (const Job& job : jobs) {
         Job declared = job;
         declared.processing =
@@ -181,17 +193,19 @@ Instance apply_deviation(const Instance& honest, OrgId deviator,
         " is out of range (instance has " +
         std::to_string(honest.num_orgs()) + " organizations)");
   }
+  // Every stream below is added in release order (deviations keep FIFO
+  // streams release-sorted), so build() finds them sorted and keeps them.
   InstanceBuilder builder;
+  const auto add_stream = [&builder](OrgId u, std::span<const Job> jobs) {
+    builder.reserve_jobs(u, jobs.size());
+    for (const Job& job : jobs) builder.add_job(u, job.release, job.processing);
+  };
   for (OrgId u = 0; u < honest.num_orgs(); ++u) {
     builder.add_org(honest.org(u).name, honest.org(u).machines);
     if (u == deviator) {
-      for (const Job& job : apply_deviation_to_jobs(honest.jobs_of(u), dev)) {
-        builder.add_job(u, job.release, job.processing);
-      }
+      add_stream(u, apply_deviation_to_jobs(honest.jobs_of(u), dev));
     } else {
-      for (const Job& job : honest.jobs_of(u)) {
-        builder.add_job(u, job.release, job.processing);
-      }
+      add_stream(u, honest.jobs_of(u));
     }
   }
   return std::move(builder).build();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "sched/fair_share.h"
 #include "sched/fcfs.h"
 #include "sched/round_robin.h"
+#include "strategy/deviation.h"
 #include "workload/synthetic.h"
 
 namespace fairsched {
@@ -93,10 +95,11 @@ class RecordingPolicy final : public Policy {
   std::vector<Note> notes_;
 };
 
-// Unit and two-slot jobs released in [0, 8) on k organizations owning zero
-// to two machines each: most timestamps carry several completions and
-// several releases at once.
-Instance colliding_instance(std::uint64_t seed, std::uint32_t k) {
+// Unit and two-slot jobs (up to `max_processing` slots) released in [0, 8)
+// on k organizations owning zero to two machines each: most timestamps
+// carry several completions and several releases at once.
+Instance colliding_instance(std::uint64_t seed, std::uint32_t k,
+                            std::uint64_t max_processing = 2) {
   Rng rng(seed);
   InstanceBuilder b;
   for (std::uint32_t u = 0; u < k; ++u) {
@@ -108,7 +111,7 @@ Instance colliding_instance(std::uint64_t seed, std::uint32_t k) {
     const auto jobs = 2 + static_cast<std::uint32_t>(rng.uniform_u64(12));
     for (std::uint32_t i = 0; i < jobs; ++i) {
       b.add_job(u, static_cast<Time>(rng.uniform_u64(8)),
-                1 + static_cast<Time>(rng.uniform_u64(2)));
+                1 + static_cast<Time>(rng.uniform_u64(max_processing)));
     }
   }
   return std::move(b).build();
@@ -378,6 +381,167 @@ TEST(Engine, ShuffledInjectionMatchesThePreloadedEngine) {
     EXPECT_EQ(injected.schedule().placements(),
               preloaded.schedule().placements())
         << "seed=" << seed;
+  }
+}
+
+// --- Streamed release runs ---------------------------------------------------
+//
+// A preloaded engine admits an organization's successor releases without a
+// heap round-trip while each one is the earliest event (engine.h). An
+// external-releases engine fed every release in order keeps them all in
+// the heap. Both must deliver the same notifications, placements and event
+// count.
+
+struct RecordedRun {
+  std::vector<RecordingPolicy::Note> notes;
+  std::vector<Placement> placements;
+  std::uint64_t events = 0;
+};
+
+template <class P>
+RecordedRun run_preloaded(const Instance& inst, Time horizon) {
+  Engine engine(inst);
+  P inner;
+  RecordingPolicy recorder(engine, inner);
+  engine.run(recorder, horizon);
+  return {recorder.notes(), engine.schedule().placements(),
+          engine.events_processed()};
+}
+
+template <class P>
+RecordedRun run_through_heap(const Instance& inst, Time horizon) {
+  EngineOptions options;
+  options.external_releases = true;
+  Engine engine(inst, options);
+  P inner;
+  RecordingPolicy recorder(engine, inner);
+  fixtures::run_injected(engine, recorder, fixtures::arrivals_by_release(inst),
+                         horizon);
+  return {recorder.notes(), engine.schedule().placements(),
+          engine.events_processed()};
+}
+
+template <class P>
+void expect_release_paths_agree(const Instance& inst, Time horizon,
+                                const std::string& what) {
+  const RecordedRun direct = run_preloaded<P>(inst, horizon);
+  const RecordedRun heap = run_through_heap<P>(inst, horizon);
+  EXPECT_EQ(direct.notes, heap.notes) << what;
+  EXPECT_EQ(direct.placements, heap.placements) << what;
+  EXPECT_EQ(direct.events, heap.events) << what;
+}
+
+// Two organizations whose long same-release runs interleave with each
+// other and with completions: org 0 owns the only machine.
+Instance release_run_instance() {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  const OrgId c = b.add_org("c", 0);
+  for (Time r : {0, 0, 0, 2, 2, 3, 3, 3, 3, 9}) b.add_job(a, r, 1 + r % 3);
+  for (Time r : {0, 2, 2, 2, 3, 5, 5, 9, 9}) b.add_job(c, r, 2);
+  return std::move(b).build();
+}
+
+TEST(EngineReleaseRuns, SplitUnitDeviationsMatchTheHeapPath) {
+  const auto splitunit = strategy::parse_deviation("splitunit");
+  // Longer jobs keep every machine busy for a while, so advance_to jumps
+  // over several release times at once and runs meet other organizations'
+  // releases in the heap.
+  for (const std::uint64_t max_processing : {2, 6}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const Instance honest = colliding_instance(seed, 6, max_processing);
+      for (OrgId deviator = 0; deviator < 6; ++deviator) {
+        const Instance inst =
+            strategy::apply_deviation(honest, deviator, splitunit);
+        const std::string what =
+            "seed=" + std::to_string(seed) +
+            " deviator=" + std::to_string(deviator) +
+            " max_processing=" + std::to_string(max_processing);
+        expect_release_paths_agree<FairSharePolicy>(inst, 60, what);
+        expect_release_paths_agree<FcfsPolicy>(inst, 60, what);
+      }
+    }
+  }
+}
+
+TEST(EngineReleaseRuns, HandBuiltRunsMatchTheHeapPath) {
+  const Instance inst = release_run_instance();
+  for (Time horizon : {1, 3, 4, 12, 60}) {
+    const std::string what = "horizon=" + std::to_string(horizon);
+    expect_release_paths_agree<FairSharePolicy>(inst, horizon, what);
+    expect_release_paths_agree<FcfsPolicy>(inst, horizon, what);
+  }
+}
+
+TEST(EngineReleaseRuns, SuccessorAtTheTargetTimeIsAdmittedOneLaterIsNot) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  b.add_job(a, 1, 1);
+  b.add_job(a, 3, 1);
+  b.add_job(a, 3, 1);
+  b.add_job(a, 4, 1);
+  const Instance inst = std::move(b).build();
+  Engine engine(inst);
+  engine.advance_to(3);
+  EXPECT_EQ(engine.waiting(a), 3u);  // released at 1, 3 and 3 (= t)
+  EXPECT_EQ(engine.events_processed(), 3u);
+  EXPECT_EQ(engine.next_event(), 4);  // the successor past t stays pending
+  engine.advance_to(4);
+  EXPECT_EQ(engine.waiting(a), 4u);
+  EXPECT_EQ(engine.next_event(), kTimeInfinity);
+  expect_release_paths_agree<FcfsPolicy>(inst, 10, "at t");
+}
+
+TEST(EngineReleaseRuns, PendingCompletionAtTheSuccessorsTimeGoesFirst) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  b.add_job(a, 0, 2);  // runs [0, 2)
+  b.add_job(a, 1, 1);
+  b.add_job(a, 2, 1);  // released when job 0 completes
+  const Instance inst = std::move(b).build();
+  Engine engine(inst);
+  FcfsPolicy fcfs;
+  RecordingPolicy recorder(engine, fcfs);
+  engine.run(recorder, 10);
+  using R = RecordingPolicy;
+  const std::vector<R::Event> expected = {{R::kComplete, a, 0},
+                                          {R::kRelease, a, 2}};
+  EXPECT_EQ(recorder.events_at(2), expected);
+  expect_release_paths_agree<FcfsPolicy>(inst, 10, "completion tie");
+}
+
+TEST(EngineReleaseRuns, SameTimeTieWithAWaitingOrgFollowsOrgIds) {
+  // One advance_to over [3, 10]: the running org's successor at 5 meets
+  // another org's release at 5 in the heap, and the lower id goes first
+  // either way round.
+  for (const bool runner_is_lower : {false, true}) {
+    InstanceBuilder b;
+    const OrgId low = b.add_org("low", 1);
+    const OrgId high = b.add_org("high", 1);
+    const OrgId runner = runner_is_lower ? low : high;
+    const OrgId other = runner_is_lower ? high : low;
+    b.add_job(runner, 3, 1);
+    b.add_job(runner, 5, 1);
+    b.add_job(runner, 5, 1);
+    b.add_job(other, 5, 1);
+    const Instance inst = std::move(b).build();
+    Engine engine(inst);
+    FcfsPolicy fcfs;
+    RecordingPolicy recorder(engine, fcfs);
+    engine.attach(&recorder);
+    engine.advance_to(10);
+    using R = RecordingPolicy;
+    const std::vector<R::Event> expected =
+        runner_is_lower
+            ? std::vector<R::Event>{{R::kRelease, low, 1},
+                                    {R::kRelease, low, 2},
+                                    {R::kRelease, high, 0}}
+            : std::vector<R::Event>{{R::kRelease, low, 0},
+                                    {R::kRelease, high, 1},
+                                    {R::kRelease, high, 2}};
+    EXPECT_EQ(recorder.events_at(5), expected)
+        << "runner_is_lower=" << runner_is_lower;
+    expect_release_paths_agree<FcfsPolicy>(inst, 20, "org tie");
   }
 }
 

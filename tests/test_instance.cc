@@ -62,6 +62,42 @@ TEST(Instance, StableSortPreservesSubmissionOrderAtEqualRelease) {
   EXPECT_EQ(inst.job(0, 2).processing, 300);
 }
 
+// build() skips the sort when a stream is already release-sorted; the
+// equal-release runs must keep their submission order either way.
+TEST(Instance, SortedInputWithEqualReleaseRunsKeepsSubmissionOrder) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  b.reserve_jobs(a, 6);
+  const Time releases[] = {1, 1, 1, 4, 4, 7};
+  for (Time p = 1; p <= 6; ++p) b.add_job(a, releases[p - 1], p);
+  const Instance inst = std::move(b).build();
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(inst.job(a, i).release, releases[i]) << i;
+    EXPECT_EQ(inst.job(a, i).processing, static_cast<Time>(i + 1)) << i;
+    EXPECT_EQ(inst.job(a, i).index, i);
+    EXPECT_EQ(inst.job(a, i).org, a);
+  }
+  EXPECT_EQ(inst.total_work(), 21);
+  EXPECT_EQ(inst.last_release(), 7);
+}
+
+TEST(Instance, UnsortedInputSortsStablyAcrossEqualReleaseRuns) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  b.add_job(a, 5, 1);
+  b.add_job(a, 3, 2);
+  b.add_job(a, 5, 3);
+  b.add_job(a, 3, 4);
+  const Instance inst = std::move(b).build();
+  const Time want_release[] = {3, 3, 5, 5};
+  const Time want_processing[] = {2, 4, 1, 3};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(inst.job(a, i).release, want_release[i]) << i;
+    EXPECT_EQ(inst.job(a, i).processing, want_processing[i]) << i;
+    EXPECT_EQ(inst.job(a, i).index, i);
+  }
+}
+
 TEST(Instance, Totals) {
   const Instance inst = two_org_instance();
   EXPECT_EQ(inst.num_jobs(), 3u);
@@ -91,6 +127,13 @@ TEST(InstanceBuilder, RejectsBadJobs) {
   EXPECT_THROW(b.add_job(a, 0, 0), std::invalid_argument);
   EXPECT_THROW(b.add_job(a, 0, -3), std::invalid_argument);
   EXPECT_THROW(b.add_job(7, 0, 1), std::out_of_range);
+}
+
+TEST(InstanceBuilder, ReserveJobsRejectsUnknownOrg) {
+  InstanceBuilder b;
+  b.add_org("a", 1);
+  EXPECT_NO_THROW(b.reserve_jobs(0, 10));
+  EXPECT_THROW(b.reserve_jobs(1, 10), std::out_of_range);
 }
 
 TEST(InstanceBuilder, RejectsJobsWithoutMachines) {

@@ -28,6 +28,36 @@ TEST(Schedule, StartAndCompletionLookups) {
   EXPECT_EQ(s.num_started(0), 1u);
 }
 
+// Engines append each organization's starts in FIFO order; any other
+// index (a gap, or an overwrite) takes the general path.
+TEST(Schedule, AppendAndOutOfOrderIndicesBothRecordStarts) {
+  Schedule s(2);
+  s.add({0, 0, 4, 0});  // appends
+  s.add({0, 1, 6, 0});  // appends
+  EXPECT_EQ(s.num_started(0), 2u);
+  EXPECT_EQ(s.start_of(0, 0), 4);
+  EXPECT_EQ(s.start_of(0, 1), 6);
+
+  s.add({1, 2, 9, 1});  // leaves a gap at indices 0 and 1
+  EXPECT_EQ(s.num_started(1), 3u);
+  EXPECT_FALSE(s.start_of(1, 0).has_value());
+  EXPECT_FALSE(s.start_of(1, 1).has_value());
+  EXPECT_EQ(s.start_of(1, 2), 9);
+  s.add({1, 0, 7, 1});  // fills the gap
+  EXPECT_EQ(s.num_started(1), 3u);
+  EXPECT_EQ(s.start_of(1, 0), 7);
+  EXPECT_FALSE(s.start_of(1, 1).has_value());
+  s.add({1, 3, 11, 1});  // appends after the gap
+  EXPECT_EQ(s.num_started(1), 4u);
+  EXPECT_EQ(s.start_of(1, 3), 11);
+
+  s.add({3, 0, 2, 0});  // an organization beyond the constructor's count
+  EXPECT_EQ(s.num_started(3), 1u);
+  EXPECT_EQ(s.start_of(3, 0), 2);
+  EXPECT_EQ(s.num_started(2), 0u);
+  EXPECT_EQ(s.size(), 6u);
+}
+
 TEST(Schedule, ValidGreedySchedulePasses) {
   const Instance inst = simple_instance();
   Schedule s(inst.num_orgs());

@@ -6,6 +6,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/instance.h"
@@ -13,6 +14,7 @@
 #include "strategy/deviation.h"
 #include "strategy/game.h"
 #include "util/rng.h"
+#include "workload/synthetic.h"
 
 namespace fairsched::strategy {
 namespace {
@@ -213,6 +215,51 @@ TEST(ApplyDeviationInstance, OnlyTheDeviatorChanges) {
     EXPECT_EQ(dev.job(1, i).processing, honest.job(1, i).processing);
   }
   EXPECT_EQ(dev.total_work(), honest.total_work());
+}
+
+// apply_deviation builds with reserved streams and no re-sort; it must
+// equal a plain per-job rebuild of the same declared streams.
+TEST(ApplyDeviationInstance, EqualsAPerJobRebuildOnEveryGridEntry) {
+  const Instance honest = make_synthetic_instance(
+      preset_lpc_egee(), 4, 3000, MachineSplit::kZipf, 1.0, 5);
+  ASSERT_GT(honest.jobs_of(0).size(), 10u);
+  ASSERT_GT(honest.jobs_of(3).size(), 10u);
+  for (const DeviationSpec& dev : default_deviation_grid()) {
+    for (OrgId deviator : {OrgId{0}, OrgId{3}}) {
+      InstanceBuilder b;
+      for (OrgId u = 0; u < honest.num_orgs(); ++u) {
+        b.add_org(honest.org(u).name, honest.org(u).machines);
+        const std::vector<Job> jobs =
+            u == deviator
+                ? apply_deviation_to_jobs(honest.jobs_of(u), dev)
+                : std::vector<Job>(honest.jobs_of(u).begin(),
+                                   honest.jobs_of(u).end());
+        for (const Job& job : jobs) b.add_job(u, job.release, job.processing);
+      }
+      const Instance want = std::move(b).build();
+      const Instance got = apply_deviation(honest, deviator, dev);
+      const std::string what =
+          deviation_label(dev) + " deviator=" + std::to_string(deviator);
+      ASSERT_EQ(got.num_orgs(), want.num_orgs()) << what;
+      EXPECT_EQ(got.num_jobs(), want.num_jobs()) << what;
+      EXPECT_EQ(got.total_work(), want.total_work()) << what;
+      EXPECT_EQ(got.last_release(), want.last_release()) << what;
+      EXPECT_EQ(got.total_machines(), want.total_machines()) << what;
+      for (OrgId u = 0; u < want.num_orgs(); ++u) {
+        EXPECT_EQ(got.org(u).name, want.org(u).name) << what;
+        EXPECT_EQ(got.org(u).machines, want.org(u).machines) << what;
+        const auto g = got.jobs_of(u);
+        const auto w = want.jobs_of(u);
+        ASSERT_EQ(g.size(), w.size()) << what << " u=" << u;
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          EXPECT_EQ(g[i].org, w[i].org) << what << " u=" << u << " i=" << i;
+          EXPECT_EQ(g[i].index, w[i].index) << what << " u=" << u;
+          EXPECT_EQ(g[i].release, w[i].release) << what << " u=" << u;
+          EXPECT_EQ(g[i].processing, w[i].processing) << what << " u=" << u;
+        }
+      }
+    }
+  }
 }
 
 TEST(ApplyDeviationInstance, RejectsBadArguments) {
