@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Hermetic ssh stand-in for dispatch tests and CI.
 
-Usage (what SshTransport generates):
+Usage (what `dispatch --workers=ssh:HOST` generates):
 
     fake_ssh.py [ssh options...] HOST COMMAND [ARGS...]
 
@@ -15,9 +15,13 @@ patching the dispatcher): set ``FAKE_SSH_STATE_DIR`` to a scratch
 directory, then
 
     FAKE_SSH_KILL_HOST=hostb   the first connection to hostb spawns the
-                               worker, waits FAKE_SSH_KILL_AFTER_MS
-                               (default 250), kills it, and exits 255 —
-                               ssh's "connection lost" exit code;
+                               worker with its stdout discarded, waits
+                               FAKE_SSH_KILL_AFTER_MS (default 250),
+                               kills it, and exits 255 — ssh's
+                               "connection lost" exit code. The
+                               dispatcher sees no frame at all, so the
+                               attempt always fails, however fast the
+                               worker is;
     FAKE_SSH_HANG_HOST=hostc   the first connection to hostc swallows the
                                request and sleeps FAKE_SSH_HANG_MS
                                (default 3600000), so only the
@@ -202,7 +206,10 @@ def main() -> int:
         delay = int(os.environ.get("FAKE_SSH_KILL_AFTER_MS", "250")) / 1000
         print(f"fake_ssh: will kill {host} worker after {delay:.3f}s",
               file=sys.stderr)
-        proc = subprocess.Popen(command)
+        # A session worker answers quickly; with its stdout attached, a
+        # shard finished within the delay would be delivered and no
+        # attempt would fail.
+        proc = subprocess.Popen(command, stdout=subprocess.DEVNULL)
         time.sleep(delay)
         try:
             proc.send_signal(signal.SIGKILL)

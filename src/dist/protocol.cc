@@ -1,5 +1,6 @@
 #include "dist/protocol.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
@@ -111,16 +112,23 @@ std::uint64_t check_handshake(const std::string& line, const char* magic,
   return version;
 }
 
+// Reads `size` payload bytes in bounded chunks, so the buffer grows only
+// as bytes actually arrive: a size header alone never allocates.
 void read_payload_bytes(std::istream& in, std::size_t size,
                         std::string& payload, const char* what) {
-  payload.resize(size);
-  if (size > 0) {
-    in.read(payload.data(), static_cast<std::streamsize>(size));
-    if (static_cast<std::size_t>(in.gcount()) != size) {
+  constexpr std::size_t kChunk = 64 * 1024;
+  payload.clear();
+  while (payload.size() < size) {
+    const std::size_t have = payload.size();
+    const std::size_t want = std::min(kChunk, size - have);
+    payload.resize(have + want);
+    in.read(payload.data() + have, static_cast<std::streamsize>(want));
+    const std::size_t got = static_cast<std::size_t>(in.gcount());
+    if (got != want) {
       throw std::invalid_argument(
           std::string("dispatch protocol: truncated ") + what + ": got " +
-          std::to_string(static_cast<std::size_t>(in.gcount())) + " of " +
-          std::to_string(size) + " bytes");
+          std::to_string(have + got) + " of " + std::to_string(size) +
+          " bytes");
     }
   }
   // The writer terminates the payload with one newline so the framing
@@ -216,7 +224,7 @@ DispatchRequest read_dispatch_request_body(std::istream& in) {
     throw std::invalid_argument(
         "dispatch protocol: a request needs at least the subcommand arg");
   }
-  request.args.reserve(num_args);
+  // No reserve: the count is untrusted, so args grow as lines arrive.
   for (std::size_t i = 0; i < num_args; ++i) {
     // Args are raw lines, not tokenized: flag values may contain spaces.
     request.args.push_back(read_line(in, "an arg line"));
@@ -422,7 +430,7 @@ bool scan_session_frame(const std::string& buffer, std::size_t start,
       } catch (const std::invalid_argument&) {
         continue;  // not a real size header; strict parse will reject it
       }
-      if (buffer.size() - pos < size + 1) return false;  // bytes + '\n'
+      if (size >= buffer.size() - pos) return false;  // bytes + '\n'
       pos += size + 1;
     }
   }

@@ -52,14 +52,34 @@ std::string argv_description(const std::vector<std::string>& argv) {
   return out;
 }
 
+// The child's end of a pipe becomes its stdin or stdout. dup2 clears
+// O_CLOEXEC on the copy; an end that already sits on its target (fd 0 or
+// 1 was free in the parent) keeps the flag unless cleared here.
+void become_stdio(int fd, int target) {
+  if (fd == target) {
+    ::fcntl(fd, F_SETFD, 0);
+  } else {
+    ::dup2(fd, target);
+  }
+}
+
 // fork/exec with stdin/stdout pipes (stderr inherited). Returns the pid
 // and the dispatcher-side fds (both nonblocking), or -1 on fork failure.
+// Every pipe end is O_CLOEXEC from birth: workers fork concurrently from
+// the dispatcher's threads, and a child must not inherit the pipes of
+// another worker's session, or that worker's death would never read as
+// EOF.
 pid_t spawn_worker(const std::vector<std::string>& argv, int* in_fd,
                    int* out_fd) {
   int in_pipe[2];   // dispatcher -> worker stdin
   int out_pipe[2];  // worker stdout -> dispatcher
-  if (::pipe(in_pipe) < 0 || ::pipe(out_pipe) < 0) {
-    throw std::runtime_error("spawn_worker: pipe() failed");
+  if (::pipe2(in_pipe, O_CLOEXEC) < 0) {
+    throw std::runtime_error("spawn_worker: pipe2() failed");
+  }
+  if (::pipe2(out_pipe, O_CLOEXEC) < 0) {
+    ::close(in_pipe[0]);
+    ::close(in_pipe[1]);
+    throw std::runtime_error("spawn_worker: pipe2() failed");
   }
   std::vector<std::string> args = argv;
   std::vector<char*> exec_argv;
@@ -76,12 +96,10 @@ pid_t spawn_worker(const std::vector<std::string>& argv, int* in_fd,
     return -1;
   }
   if (pid == 0) {
-    ::dup2(in_pipe[0], STDIN_FILENO);
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
+    // in_pipe was created first, so out_pipe[1] is never fd 0 and the
+    // first call cannot clobber it.
+    become_stdio(in_pipe[0], STDIN_FILENO);
+    become_stdio(out_pipe[1], STDOUT_FILENO);
     ::execvp(exec_argv[0], exec_argv.data());
     std::perror("execvp");
     ::_exit(127);
@@ -125,43 +143,12 @@ WorkerTransport::Outcome run_worker_process(
   write_dispatch_request(request_stream, request);
   const std::string request_bytes = request_stream.str();
 
-  int in_pipe[2];   // dispatcher -> worker stdin
-  int out_pipe[2];  // worker stdout -> dispatcher
-  if (::pipe(in_pipe) < 0 || ::pipe(out_pipe) < 0) {
-    throw std::runtime_error("run_worker_process: pipe() failed");
-  }
-
-  std::vector<std::string> args = argv;
-  std::vector<char*> exec_argv;
-  exec_argv.reserve(args.size() + 1);
-  for (std::string& arg : args) exec_argv.push_back(arg.data());
-  exec_argv.push_back(nullptr);
-
-  const pid_t pid = ::fork();
+  int write_fd = -1;
+  int read_fd = -1;
+  const pid_t pid = spawn_worker(argv, &write_fd, &read_fd);
   if (pid < 0) {
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
     throw std::runtime_error("run_worker_process: fork() failed");
   }
-  if (pid == 0) {
-    ::dup2(in_pipe[0], STDIN_FILENO);
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(in_pipe[0]);
-    ::close(in_pipe[1]);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    ::execvp(exec_argv[0], exec_argv.data());
-    std::perror("execvp");
-    ::_exit(127);
-  }
-  ::close(in_pipe[0]);
-  ::close(out_pipe[1]);
-  const int write_fd = in_pipe[1];
-  const int read_fd = out_pipe[0];
-  set_nonblocking(write_fd);
-  set_nonblocking(read_fd);
 
   const auto started = std::chrono::steady_clock::now();
   const bool bounded = timeout.count() > 0;
@@ -270,57 +257,6 @@ WorkerTransport::Outcome run_worker_process(
   } catch (const std::exception& e) {
     return Outcome{Outcome::Status::kFailed, "", e.what()};
   }
-}
-
-LocalProcessTransport::LocalProcessTransport(std::string name,
-                                             std::string program)
-    : name_(std::move(name)), program_(std::move(program)) {
-  if (program_.empty()) {
-    throw std::invalid_argument(
-        "LocalProcessTransport: empty program path");
-  }
-}
-
-WorkerTransport::Outcome LocalProcessTransport::run_shard(
-    const DispatchRequest& request, std::chrono::milliseconds timeout) {
-  ++attempts_;
-  return run_worker_process({program_, "shard-worker"}, request, timeout);
-}
-
-std::string LocalProcessTransport::summary() const {
-  return std::to_string(attempts_) + " attempt(s), spawn-per-attempt";
-}
-
-SshTransport::SshTransport(std::string name,
-                           std::vector<std::string> ssh_command,
-                           std::string host, std::string remote_program)
-    : name_(std::move(name)) {
-  if (ssh_command.empty()) {
-    throw std::invalid_argument("SshTransport: empty ssh command");
-  }
-  if (host.empty()) {
-    throw std::invalid_argument("SshTransport: empty host");
-  }
-  if (remote_program.empty()) {
-    throw std::invalid_argument("SshTransport: empty remote program path");
-  }
-  argv_ = std::move(ssh_command);
-  argv_.push_back(std::move(host));
-  // ssh joins the remaining tokens with spaces for the remote shell, so
-  // remote program paths must not contain shell metacharacters; the fake
-  // ssh harness receives them as separate argv entries either way.
-  argv_.push_back(std::move(remote_program));
-  argv_.push_back("shard-worker");
-}
-
-WorkerTransport::Outcome SshTransport::run_shard(
-    const DispatchRequest& request, std::chrono::milliseconds timeout) {
-  ++attempts_;
-  return run_worker_process(argv_, request, timeout);
-}
-
-std::string SshTransport::summary() const {
-  return std::to_string(attempts_) + " attempt(s), spawn-per-attempt";
 }
 
 PersistentTransport::PersistentTransport(

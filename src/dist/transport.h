@@ -2,24 +2,26 @@
 
 // The worker-transport seam of the distributed dispatcher.
 //
-// A WorkerTransport runs one attempt of one shard somewhere — a forked
-// local process, a remote host over ssh, or (in tests) an in-memory
-// double that injects failures — and reports what happened as an Outcome
-// instead of throwing: per-attempt failures are routine events the
-// Dispatcher retries, not exceptions. The process-backed transports share
-// run_worker_process, which speaks the dist/protocol.h framing over the
-// child's stdin/stdout, enforces the per-attempt deadline with SIGKILL,
-// and inherits stderr so worker breadcrumbs land in the dispatcher's own
-// stderr stream.
+// A WorkerTransport runs one attempt of one shard somewhere and reports
+// what happened as an Outcome instead of throwing: per-attempt failures
+// are routine events the Dispatcher retries, not exceptions. Besides test
+// doubles that inject failures in memory, there is one implementation.
 //
-// PersistentTransport is the protocol-v2 session path
-// (--persistent-workers): one long-lived `shard-worker --session` child
-// serves every run_shard call over a single connection, keeping its
-// in-memory WorkloadCache and parsed plan warm across shards. A timeout
-// or protocol error tears the session down (SIGKILL) and the next
-// run_shard respawns it; a peer that answers the first request with a v1
-// artifact instead of a session hello is a skewed binary, and the
-// transport falls back to spawn-per-attempt for the rest of the run.
+// PersistentTransport is the protocol-v2 session path, and the only way a
+// shard leaves the process: `dispatch` (local and ssh workers alike) and
+// `--processes=N` both run one long-lived `shard-worker --session` child
+// per worker, which serves every run_shard call over a single connection,
+// keeping its in-memory WorkloadCache and parsed plan warm across shards.
+// A timeout or protocol error tears the session down (SIGKILL) and the
+// next run_shard respawns it. A peer that answers the first request with
+// a v1 artifact instead of a session hello is a skewed binary (or the
+// one-shot `shard-worker` the dispatch bench points its spawn baseline
+// at); the transport then serves every later attempt spawn-per-attempt
+// through run_worker_process, which speaks the dist/protocol.h framing
+// over the child's stdin/stdout and enforces the deadline with SIGKILL.
+// Children inherit stderr, so worker breadcrumbs land in the dispatcher's
+// own stderr stream, and nothing else of the dispatcher: every pipe end is
+// close-on-exec.
 
 #include <sys/types.h>
 
@@ -92,49 +94,12 @@ class WorkerTransport {
 
 // Spawns `argv`, writes `request` to its stdin, captures stdout until EOF
 // or deadline (SIGKILL on expiry), and parses the artifact frame — also
-// checking the frame echoes the requested shard. Exposed for transports
-// and for direct testing against plain commands.
+// checking the frame echoes the requested shard. The spawn-per-attempt
+// path of a PersistentTransport whose peer turned out to be v1; exposed
+// for direct testing against plain commands.
 WorkerTransport::Outcome run_worker_process(
     const std::vector<std::string>& argv, const DispatchRequest& request,
     std::chrono::milliseconds timeout);
-
-// fork/exec of `program shard-worker` on this host — the transport behind
-// --workers=local and the executor-level --processes path.
-class LocalProcessTransport final : public WorkerTransport {
- public:
-  LocalProcessTransport(std::string name, std::string program);
-
-  const std::string& name() const override { return name_; }
-  Outcome run_shard(const DispatchRequest& request,
-                    std::chrono::milliseconds timeout) override;
-  std::string summary() const override;
-
- private:
-  std::string name_;
-  std::string program_;
-  std::size_t attempts_ = 0;  // touched only by the owning worker thread
-};
-
-// Spawns `remote_program shard-worker` on `host` through an ssh-style
-// command (argv = ssh_command + {host, remote_program, "shard-worker"}),
-// streaming the request in and the artifact frame back over the ssh
-// channel. `ssh_command` is overridable (--ssh-cmd) so CI substitutes the
-// hermetic scripts/fake_ssh.py harness.
-class SshTransport final : public WorkerTransport {
- public:
-  SshTransport(std::string name, std::vector<std::string> ssh_command,
-               std::string host, std::string remote_program);
-
-  const std::string& name() const override { return name_; }
-  Outcome run_shard(const DispatchRequest& request,
-                    std::chrono::milliseconds timeout) override;
-  std::string summary() const override;
-
- private:
-  std::string name_;
-  std::vector<std::string> argv_;
-  std::size_t attempts_ = 0;  // touched only by the owning worker thread
-};
 
 // One long-lived session worker (protocol v2). `session_argv` spawns the
 // resident peer (`program shard-worker --session`, possibly ssh-wrapped);

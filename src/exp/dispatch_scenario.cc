@@ -1,17 +1,20 @@
-// `fairsched_exp dispatch` and `fairsched_exp shard-worker` — the CLI
-// shell over the distributed dispatcher (src/dist, docs/DISTRIBUTED.md).
+// `fairsched_exp dispatch`, `--processes=N` and `fairsched_exp
+// shard-worker` — the CLI shell over the distributed dispatcher (src/dist,
+// docs/DISTRIBUTED.md).
 //
 // dispatch builds the sweep exactly like the single-host subcommand
 // would, then hands the whole-run plan to dist::Dispatcher with one
-// transport per --workers/--hosts entry. The request each worker receives
-// carries the original argv (minus orchestration/reporting/dispatch
-// flags) so the worker rebuilds the identical spec; a --config file's
-// bytes ride along in the request, so remote hosts need no shared
-// filesystem. shard-worker is the other end of that protocol.
+// session transport per --workers/--hosts entry; --processes=N does the
+// same with N local workers. The request each worker receives carries the
+// original argv (minus orchestration/reporting/dispatch flags) so the
+// worker rebuilds the identical spec; a --config file's bytes ride along
+// in the request, so remote hosts need no shared filesystem. shard-worker
+// is the other end of that protocol.
 
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -34,12 +37,22 @@
 #include "exp/sweep_artifact.h"
 #include "exp/sweep_plan.h"
 #include "exp/workload_cache.h"
-#include "strategy/game.h"
 #include "util/cli.h"
 
 namespace fairsched::exp {
 
 namespace {
+
+// A scratch directory, removed with its contents on scope exit.
+struct ScratchDir {
+  std::filesystem::path dir;
+  ~ScratchDir() {
+    if (!dir.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
+};
 
 // One --workers/--hosts entry, parsed but not yet constructed: dry runs
 // need the worker names without exec-able transports.
@@ -121,9 +134,13 @@ std::vector<WorkerSpec> parse_worker_specs(const ScenarioOptions& options) {
   return specs;
 }
 
+// One session transport per worker spec. `sessions` = false points the
+// transports at the one-shot `shard-worker` instead: each detects its
+// peer as v1 and serves every later attempt spawn-per-attempt — the
+// --dispatch-bench baseline.
 std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
     const std::vector<WorkerSpec>& specs, const ScenarioOptions& options,
-    dist::DispatchLog* log) {
+    dist::DispatchLog* log, bool sessions = true) {
   if (options.program.empty()) {
     throw std::invalid_argument(
         "dispatch needs the harness's own binary path for its workers; "
@@ -137,31 +154,21 @@ std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
   std::vector<std::unique_ptr<dist::WorkerTransport>> transports;
   transports.reserve(specs.size());
   for (const WorkerSpec& spec : specs) {
-    std::unique_ptr<dist::WorkerTransport> transport;
-    if (options.persistent_workers) {
-      std::vector<std::string> session_argv;
-      std::vector<std::string> fallback_argv;
-      if (spec.local) {
-        session_argv = {options.program, "shard-worker", "--session"};
-        fallback_argv = {options.program, "shard-worker"};
-      } else {
-        session_argv = ssh_command;
-        session_argv.insert(session_argv.end(),
-                            {spec.host, remote_program, "shard-worker",
-                             "--session"});
-        fallback_argv = ssh_command;
-        fallback_argv.insert(fallback_argv.end(),
-                             {spec.host, remote_program, "shard-worker"});
-      }
-      transport = std::make_unique<dist::PersistentTransport>(
-          spec.name, std::move(session_argv), std::move(fallback_argv), log);
-    } else if (spec.local) {
-      transport = std::make_unique<dist::LocalProcessTransport>(
-          spec.name, options.program);
+    std::vector<std::string> one_shot_argv;
+    if (spec.local) {
+      one_shot_argv = {options.program, "shard-worker"};
     } else {
-      transport = std::make_unique<dist::SshTransport>(
-          spec.name, ssh_command, spec.host, remote_program);
+      // ssh joins the remaining tokens with spaces for the remote shell,
+      // so remote program paths must not contain shell metacharacters;
+      // the fake ssh harness receives them as separate argv entries.
+      one_shot_argv = ssh_command;
+      one_shot_argv.insert(one_shot_argv.end(),
+                           {spec.host, remote_program, "shard-worker"});
     }
+    std::vector<std::string> session_argv = one_shot_argv;
+    if (sessions) session_argv.push_back("--session");
+    auto transport = std::make_unique<dist::PersistentTransport>(
+        spec.name, std::move(session_argv), std::move(one_shot_argv), log);
     if (!spec.local && !options.worker_threads_explicit) {
       // Remote thread-budget fix: without --worker-threads the request
       // would carry a share of the *local* host's budget; send 0 instead,
@@ -174,30 +181,31 @@ std::vector<std::unique_ptr<dist::WorkerTransport>> build_transports(
   return transports;
 }
 
+// The local-first thread default: this host's budget (the plan's
+// --threads, or the hardware concurrency) split across the workers, at
+// least 1 each. Genuinely remote fleets should set --worker-threads.
+std::size_t thread_share(const SweepPlan& plan, std::size_t workers) {
+  const std::size_t budget =
+      plan.spec.threads
+          ? plan.spec.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::max<std::size_t>(1, budget / workers);
+}
+
 // The request every attempt shares: the original argv with the
 // orchestration, reporting and dispatch-layer flags stripped (each is
 // either re-derived per attempt or meaningless on a worker), the
-// subcommand swapped for --sweep's scenario, and the --config file's
-// bytes embedded for hosts without the file.
+// subcommand swapped for `command` (dispatch's --sweep, or the invoking
+// subcommand under --processes), and the --config file's bytes embedded
+// for hosts without the file.
 dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
+                                             const std::string& command,
                                              const SweepPlan& plan,
-                                             std::size_t worker_count) {
+                                             std::size_t threads) {
   dist::DispatchRequest request;
   request.fingerprint = plan.fingerprint;
-  if (options.worker_threads) {
-    request.threads = options.worker_threads;
-  } else {
-    // Local-first default: split this host's thread budget across the
-    // workers, exactly like --processes does. Genuinely remote fleets
-    // should set --worker-threads (or 0 threads per host is never
-    // picked: at least 1).
-    const std::size_t budget =
-        options.threads ? options.threads
-                        : std::max<std::size_t>(
-                              1, std::thread::hardware_concurrency());
-    request.threads = std::max<std::size_t>(1, budget / worker_count);
-  }
-  request.args.push_back(options.sweep);
+  request.threads = threads;
+  request.args.push_back(command);
   std::vector<std::string> tail;
   if (!options.raw_args.empty()) {
     tail.assign(options.raw_args.begin() + 1, options.raw_args.end());
@@ -208,8 +216,8 @@ dist::DispatchRequest build_dispatch_request(const ScenarioOptions& options,
              "ssh-cmd", "remote-program", "sweep", "shards",
              "worker-threads", "timeout-ms", "retries", "backoff-ms",
              "backoff-cap-ms", "artifact-dir", "dispatch-log", "resume",
-             "dry-run", "persistent-workers", "speculate",
-             "speculate-factor", "dispatch-bench", "bench-repeats"});
+             "dry-run", "speculate", "speculate-factor", "dispatch-bench",
+             "bench-repeats"});
   request.args.insert(request.args.end(), tail.begin(), tail.end());
   if (!options.config_path.empty()) {
     std::ifstream config(options.config_path, std::ios::binary);
@@ -238,12 +246,13 @@ void print_worker_summaries(const dist::Dispatcher& dispatcher,
 }
 
 // --dispatch-bench: run the identical dispatch --bench-repeats times in
-// spawn-per-attempt mode, then again over one set of persistent sessions
-// (the Dispatcher is reused, so sessions — and their caches — stay warm
-// across repeats), assert the two modes' CSVs are byte-identical, and
-// write the BENCH_dispatch.json record CI gates against
-// bench/baselines/dispatch.json. Repeat 1 of session mode is the cold
-// session (spawn + first plan parse); repeats 2+ are fully warm.
+// spawn-per-attempt mode (transports pointed at the one-shot shard-worker,
+// which they detect as v1 peers on repeat 1), then again over one set of
+// persistent sessions (the Dispatcher is reused, so sessions — and their
+// caches — stay warm across repeats), assert the two modes' CSVs are
+// byte-identical, and write the BENCH_dispatch.json record CI gates
+// against bench/baselines/dispatch.json. Repeat 1 of session mode is the
+// cold session (spawn + first plan parse); repeats 2+ are fully warm.
 int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
                        const std::vector<WorkerSpec>& specs,
                        const dist::DispatchOptions& dispatch_options,
@@ -271,10 +280,9 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
   std::vector<double> spawn_ms;
   std::string spawn_csv;
   {
-    ScenarioOptions mode = options;
-    mode.persistent_workers = false;
-    dist::Dispatcher dispatcher(build_transports(specs, mode, log),
-                                dispatch_options, log);
+    dist::Dispatcher dispatcher(
+        build_transports(specs, options, log, /*sessions=*/false),
+        dispatch_options, log);
     for (std::size_t r = 0; r < repeats; ++r) {
       const auto started = std::chrono::steady_clock::now();
       const MergedSweep merged = dispatcher.run(plan, request);
@@ -290,9 +298,7 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
   std::string session_csv;
   dist::PersistentTransport::SessionStats session_totals;
   {
-    ScenarioOptions mode = options;
-    mode.persistent_workers = true;
-    dist::Dispatcher dispatcher(build_transports(specs, mode, log),
+    dist::Dispatcher dispatcher(build_transports(specs, options, log),
                                 dispatch_options, log);
     for (std::size_t r = 0; r < repeats; ++r) {
       const auto started = std::chrono::steady_clock::now();
@@ -430,10 +436,8 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
                               options.json_path == "-";
   std::FILE* human = machine_stdout ? stderr : stdout;
   if (!spec.title.empty()) std::fprintf(human, "%s\n", spec.title.c_str());
-  std::fprintf(human,
-               "dispatching %zu shard(s) over %zu worker(s)%s%s\n",
+  std::fprintf(human, "dispatching %zu shard(s) over %zu worker(s)%s\n",
                shard_count, specs.size(),
-               options.persistent_workers ? " [persistent sessions]" : "",
                options.speculate ? " [speculative re-execution]" : "");
 
   bool any_remote = false;
@@ -485,8 +489,10 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
   }
   dist::DispatchLog log(log_file);
 
-  const dist::DispatchRequest request =
-      build_dispatch_request(options, plan, specs.size());
+  const dist::DispatchRequest request = build_dispatch_request(
+      options, options.sweep, plan,
+      options.worker_threads ? options.worker_threads
+                             : thread_share(plan, specs.size()));
   if (options.dispatch_bench) {
     return run_dispatch_bench(options, plan, specs, dispatch_options,
                               request, &log, human);
@@ -512,75 +518,44 @@ int run_dispatch_scenario(const ScenarioOptions& options) {
                  stats.duplicate_canceled);
   }
   print_worker_summaries(dispatcher, human);
+  return report_sweep(merged.spec, merged.result, options);
+}
 
-  const SweepResult& result = merged.result;
-  TableReporter table(machine_stdout ? std::cerr : std::cout);
-  table.report(merged.spec, result);
-  // Strategy sweeps report manipulation gain over the merged cells —
-  // byte-identical to the single-host run's report, since both derive
-  // from (spec, cell aggregates) alone.
-  int thm41_rc = 0;
-  if (merged.spec.is_strategy()) {
-    strategy::print_strategy_report(merged.spec, result,
-                                    machine_stdout ? std::cerr : std::cout);
-    if (options.check_thm41) {
-      thm41_rc = strategy::check_theorem41(
-                     merged.spec, result, options.thm41_tolerance,
-                     machine_stdout ? std::cerr : std::cout)
-                     ? 1
-                     : 0;
-    }
-  }
-  if (!spec.note.empty()) std::fprintf(human, "\n%s\n", spec.note.c_str());
+SweepResult run_local_sessions(const SweepPlan& plan,
+                               const std::string& command,
+                               const ScenarioOptions& options,
+                               const SweepDriver::Progress& progress) {
+  const auto started = std::chrono::steady_clock::now();
+  static std::atomic<std::uint64_t> scratch_seq{0};
+  ScratchDir scratch;
+  scratch.dir = std::filesystem::temp_directory_path() /
+                ("fairsched-mp-" + std::to_string(::getpid()) + "-" +
+                 std::to_string(scratch_seq.fetch_add(1)));
+  std::filesystem::create_directories(scratch.dir);
 
-  if (!options.csv_path.empty()) {
-    if (options.csv_path == "-") {
-      CsvReporter csv(std::cout);
-      csv.report(merged.spec, result);
-    } else {
-      std::ofstream out(options.csv_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open CSV output: %s\n",
-                     options.csv_path.c_str());
-        return 2;
-      }
-      CsvReporter csv(out);
-      csv.report(merged.spec, result);
-      std::fprintf(human, "wrote CSV: %s\n", options.csv_path.c_str());
-    }
+  std::vector<WorkerSpec> specs(options.processes);
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    specs[s].name = "local#" + std::to_string(s);
   }
-  if (!options.json_path.empty()) {
-    if (options.json_path == "-") {
-      JsonReporter json(std::cout);
-      json.report(merged.spec, result);
-    } else {
-      std::ofstream out(options.json_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open JSON output: %s\n",
-                     options.json_path.c_str());
-        return 2;
-      }
-      JsonReporter json(out);
-      json.report(merged.spec, result);
-      std::fprintf(human, "wrote perf baseline: %s\n",
-                   options.json_path.c_str());
-    }
-  }
-  return thm41_rc;
+  dist::DispatchOptions dispatch_options;
+  dispatch_options.shard_count = specs.size();
+  dispatch_options.max_attempts = 1;
+  dispatch_options.artifact_dir = scratch.dir.string();
+  dist::Dispatcher dispatcher(build_transports(specs, options, nullptr),
+                              dispatch_options);
+  MergedSweep merged = dispatcher.run(
+      plan,
+      build_dispatch_request(options, command, plan,
+                             thread_share(plan, specs.size())),
+      progress);
+  merged.result.elapsed_ms =
+      std::chrono::duration<double, std::milli>(
+          std::chrono::steady_clock::now() - started)
+          .count();
+  return std::move(merged.result);
 }
 
 namespace {
-
-// Scratch directory for a worker's embedded config, removed on exit.
-struct WorkerScratch {
-  std::filesystem::path dir;
-  ~WorkerScratch() {
-    if (!dir.empty()) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
-  }
-};
 
 std::string sanitize_filename(const std::string& name) {
   std::string out;
@@ -612,7 +587,7 @@ struct SessionCache {
 bool serve_dispatch_request(const dist::DispatchRequest& request_in,
                             SessionCache* session, std::size_t sequence) {
   dist::DispatchRequest request = request_in;
-  WorkerScratch scratch;
+  ScratchDir scratch;  // the embedded config, removed on exit
   if (!request.config_content.empty() || !request.config_name.empty()) {
     scratch.dir = std::filesystem::temp_directory_path() /
                   ("fairsched-worker-" + std::to_string(::getpid()) + "-" +

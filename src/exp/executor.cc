@@ -1,25 +1,14 @@
 #include "exp/executor.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
-#include "dist/dispatcher.h"
-#include "dist/protocol.h"
-#include "dist/transport.h"
-#include "exp/sweep_artifact.h"
 #include "exp/workload_cache.h"
 #include "metrics/fairness.h"
 #include "metrics/utility.h"
@@ -166,7 +155,8 @@ std::string prefix_content_key(const SweepPlan& plan, std::size_t group,
 }  // namespace
 
 SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
-                                        Progress progress, RecordSink sink) {
+                                        SweepDriver::Progress progress,
+                                        SweepDriver::RecordSink sink) {
   const SweepSpec& spec = plan.spec;
   const std::size_t num_workloads = plan.num_workloads;
   const std::size_t num_policies = plan.num_policies;
@@ -502,95 +492,6 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
   }
   result.elapsed_ms = elapsed_ms(run_started);
   return result;
-}
-
-MultiProcessExecutor::MultiProcessExecutor(
-    std::vector<std::string> worker_command, std::size_t processes)
-    : worker_command_(std::move(worker_command)), processes_(processes) {
-  if (worker_command_.empty()) {
-    throw std::invalid_argument(
-        "MultiProcessExecutor: empty worker command");
-  }
-  if (processes_ < 2) {
-    throw std::invalid_argument(
-        "MultiProcessExecutor: need at least 2 processes (use "
-        "ThreadPoolExecutor for in-process runs)");
-  }
-}
-
-SweepResult MultiProcessExecutor::execute(const SweepPlan& plan,
-                                          Progress progress,
-                                          RecordSink sink) {
-  if (sink) {
-    throw std::invalid_argument(
-        "multi-process sweeps do not support per-run record sinks "
-        "(--stream-records); run shards explicitly and keep their streams");
-  }
-  if (!plan.shard.whole()) {
-    throw std::invalid_argument(
-        "multi-process execution partitions the whole plan; it cannot run "
-        "an already-sharded one");
-  }
-
-  if (worker_command_.size() < 2) {
-    throw std::invalid_argument(
-        "multi-process execution needs the sweep subcommand in its worker "
-        "command (program + subcommand + flags)");
-  }
-
-  const auto run_started = std::chrono::steady_clock::now();
-
-  namespace fs = std::filesystem;
-  static std::atomic<std::uint64_t> scratch_seq{0};
-  const fs::path scratch =
-      fs::temp_directory_path() /
-      ("fairsched-mp-" + std::to_string(::getpid()) + "-" +
-       std::to_string(scratch_seq.fetch_add(1)));
-  fs::create_directories(scratch);
-  struct ScratchGuard {
-    fs::path dir;
-    ~ScratchGuard() {
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-  } guard{scratch};
-
-  // Split the parent's thread budget across the workers: --threads (or
-  // the hardware concurrency it defaults to) is the machine's budget, and
-  // N workers each running a full-size pool would oversubscribe it N-fold
-  // and run *slower* than one process.
-  const std::size_t thread_budget =
-      plan.spec.threads ? plan.spec.threads
-                        : std::max<std::size_t>(
-                              1, std::thread::hardware_concurrency());
-
-  // One local shard-worker transport per shard, driven by the shared
-  // dispatcher (dist/dispatcher.h). Sharding travels in the request, so
-  // inherited FAIRSCHED_* environment variables cannot recurse: the
-  // worker rebuilds the spec from these args alone, overrides its thread
-  // count from the request, and refuses on fingerprint mismatch. One
-  // attempt per shard keeps the historical fail-fast contract — a local
-  // worker that dies signals a bug, not a flaky network.
-  dist::DispatchRequest request;
-  request.fingerprint = plan.fingerprint;
-  request.threads = std::max<std::size_t>(1, thread_budget / processes_);
-  request.args.assign(worker_command_.begin() + 1, worker_command_.end());
-
-  std::vector<std::unique_ptr<dist::WorkerTransport>> transports;
-  transports.reserve(processes_);
-  for (std::size_t s = 0; s < processes_; ++s) {
-    transports.push_back(std::make_unique<dist::LocalProcessTransport>(
-        "local#" + std::to_string(s), worker_command_[0]));
-  }
-
-  dist::DispatchOptions options;
-  options.shard_count = processes_;
-  options.max_attempts = 1;
-  options.artifact_dir = scratch.string();
-  dist::Dispatcher dispatcher(std::move(transports), options);
-  MergedSweep merged = dispatcher.run(plan, request, progress);
-  merged.result.elapsed_ms = elapsed_ms(run_started);
-  return std::move(merged.result);
 }
 
 }  // namespace fairsched::exp

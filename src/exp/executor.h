@@ -2,56 +2,29 @@
 
 // The execution layer of the sweep engine: everything below a SweepPlan.
 //
-// An Executor turns a plan (exp/sweep_plan.h) into a SweepResult. Two
-// implementations:
+// ThreadPoolExecutor turns a plan (exp/sweep_plan.h) into a SweepResult
+// in process: it shards the plan's owned tasks over the shared ThreadPool
+// and folds records through a bounded reorder window in the fixed
+// deterministic order (axis point, workload, instance, policy), so output
+// is bit-identical whatever the thread count. Policy-independent prefixes
+// flow through the WorkloadCache, including its optional disk tier
+// (spec.cache_dir).
 //
-//   * ThreadPoolExecutor — in-process: shards the plan's owned tasks over
-//     the shared ThreadPool and folds records through a bounded reorder
-//     window in the fixed deterministic order (axis point, workload,
-//     instance, policy), so output is bit-identical whatever the thread
-//     count. Policy-independent prefixes flow through the WorkloadCache,
-//     including its optional disk tier (spec.cache_dir).
-//
-//   * MultiProcessExecutor — runs one `fairsched_exp shard-worker`
-//     subprocess per shard through the distributed dispatcher
-//     (dist/dispatcher.h) with local process transports, and folds the
-//     shard artifacts (exp/sweep_artifact.h) in plan order. The merged
-//     result is bit-identical to a whole single-process run: each
-//     per-cell aggregate is computed entirely within one shard, in the
-//     same relative fold order a whole run would use.
+// It is the only executor. Work that leaves the process goes through the
+// distributed dispatcher instead (dist/dispatcher.h): `dispatch` and
+// `--processes=N` both hand the whole-run plan to it, and each shard-worker
+// session at the other end runs its shard through a ThreadPoolExecutor.
 //
 // SweepDriver (exp/sweep.h) is the convenience facade over
 // build_sweep_plan + ThreadPoolExecutor for whole in-process runs.
-
-#include <functional>
-#include <string>
-#include <vector>
 
 #include "exp/sweep_plan.h"
 
 namespace fairsched::exp {
 
-class Executor {
- public:
-  using Progress = std::function<void(const std::string& message)>;
-  // Streaming per-run consumer, invoked in the deterministic fold order
-  // restricted to the plan's shard. Records are not retained by the
-  // executor; a sink that needs them later must copy.
-  using RecordSink = std::function<void(const RunRecord&)>;
-
-  virtual ~Executor() = default;
-
-  // Executes the plan's owned tasks and returns the aggregate result
-  // (cells the shard does not own stay empty). Throws on execution
-  // failures; plans are validated at build time.
-  virtual SweepResult execute(const SweepPlan& plan,
-                              Progress progress = nullptr,
-                              RecordSink sink = nullptr) = 0;
-};
-
 class WorkloadCache;
 
-class ThreadPoolExecutor final : public Executor {
+class ThreadPoolExecutor {
  public:
   ThreadPoolExecutor() = default;
 
@@ -65,38 +38,17 @@ class ThreadPoolExecutor final : public Executor {
   // per-run cache.
   explicit ThreadPoolExecutor(WorkloadCache* cache) : external_cache_(cache) {}
 
-  SweepResult execute(const SweepPlan& plan, Progress progress = nullptr,
-                      RecordSink sink = nullptr) override;
+  // Executes the plan's owned tasks and returns the aggregate result
+  // (cells the shard does not own stay empty). `sink` sees every record
+  // in the deterministic fold order restricted to the plan's shard and
+  // must copy what it keeps. Throws on execution failures; plans are
+  // validated at build time.
+  SweepResult execute(const SweepPlan& plan,
+                      SweepDriver::Progress progress = nullptr,
+                      SweepDriver::RecordSink sink = nullptr);
 
  private:
   WorkloadCache* external_cache_ = nullptr;
-};
-
-class MultiProcessExecutor final : public Executor {
- public:
-  // `worker_command` is the argv that reproduces the caller's sweep (the
-  // harness binary, then the subcommand and flags). The executor sends it
-  // — minus the program — to `fairsched_exp shard-worker` subprocesses as
-  // a dispatch request (dist/protocol.h): sharding and the per-worker
-  // thread budget travel in the request rather than as flags, so
-  // inherited FAIRSCHED_* env vars can neither recurse nor skew the
-  // rebuilt plan (the worker refuses on fingerprint mismatch). The
-  // plan's thread budget (spec.threads, or the hardware concurrency it
-  // defaults to) is divided across the workers, not multiplied by them.
-  MultiProcessExecutor(std::vector<std::string> worker_command,
-                       std::size_t processes);
-
-  // Spawns the workers, waits, merges their artifacts. The plan must be a
-  // whole-run plan (shard {0, 1}); per-run sinks are not supported across
-  // process boundaries (--stream-records within a shard still is) and a
-  // non-null `sink` is rejected. Throws std::runtime_error when a worker
-  // exits nonzero or its artifact does not match the plan's fingerprint.
-  SweepResult execute(const SweepPlan& plan, Progress progress = nullptr,
-                      RecordSink sink = nullptr) override;
-
- private:
-  std::vector<std::string> worker_command_;
-  std::size_t processes_;
 };
 
 }  // namespace fairsched::exp

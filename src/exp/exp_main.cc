@@ -70,8 +70,9 @@
 // Sharded execution (docs/ARCHITECTURE.md, docs/EXPERIMENTS.md):
 //   --shard=i/N       execute only shard i of the plan's N-way partition
 //   --partial-out=F   write the shard's result artifact for `merge`
-//   --processes=N     fork N shard workers and merge them in-process;
-//                     output is byte-identical to a single-process run
+//   --processes=N     run the N shards on N local shard-worker sessions
+//                     and merge them; output is byte-identical to a
+//                     single-process run
 //
 // `custom` extras: --policies=a,b,c (registry names, e.g.
 // "fcfs,rand75,decayfairshare2000"), --workload=<kind> (see
@@ -117,7 +118,7 @@ int usage(const char* argv0) {
       "--hosts=FILE --ssh-cmd=CMD --remote-program=PATH --shards=N "
       "--worker-threads=N --timeout-ms=T --retries=R --backoff-ms=B "
       "--backoff-cap-ms=C --artifact-dir=DIR --dispatch-log=FILE "
-      "--resume --dry-run --persistent-workers --speculate "
+      "--resume --dry-run --speculate "
       "--speculate-factor=X --dispatch-bench --bench-repeats=N "
       "(see docs/DISTRIBUTED.md)\n"
       "custom/plan flags: --policies=a,b,c --workload=%s --config=FILE\n"
@@ -164,8 +165,13 @@ int main(int argc, char** argv) {
     options.program = self_program(argv[0]);
     options.raw_args.assign(argv + 1, argv + argc);
 
-    if (command == "table1" || command == "table2") {
-      return run_sweep_scenario(make_table_sweep(command, options), options);
+    if (is_scenario_sweep(command)) {
+      return run_sweep_scenario(make_scenario_sweep(command, options),
+                                options);
+    }
+    if (command == "plan") {
+      return run_plan_scenario(make_scenario_sweep("custom", options),
+                               options);
     }
     if (command == "utilization") {
       return run_utilization_scenario(options);
@@ -173,31 +179,11 @@ int main(int argc, char** argv) {
     if (command == "rand-convergence") {
       return run_rand_convergence_scenario(options);
     }
-    if (command == "fig10") {
-      return run_sweep_scenario(make_fig10_sweep(options), options);
-    }
-    if (command == "horizon-growth") {
-      return run_sweep_scenario(make_horizon_growth_sweep(options), options);
-    }
-    if (command == "fairshare-decay") {
-      return run_sweep_scenario(make_fairshare_decay_sweep(options), options);
-    }
-    if (command == "strategy") {
-      return run_sweep_scenario(make_strategy_sweep(options), options);
-    }
     if (command == "strategyproof") {
       return run_strategyproof_scenario(options);
     }
     if (command == "ref-scaling") {
       return run_ref_scaling_scenario(options);
-    }
-    if (command == "custom" || command == "plan") {
-      const SweepSpec spec =
-          options.config_path.empty()
-              ? make_custom_sweep(options)
-              : load_sweep_config_file(options.config_path, options);
-      return command == "plan" ? run_plan_scenario(spec, options)
-                               : run_sweep_scenario(spec, options);
     }
     if (command == "merge") {
       return run_merge_scenario(flags.positional(), options);

@@ -251,25 +251,6 @@ std::vector<std::string> drop_flag_tokens(
 
 namespace {
 
-// The command a multi-process sweep's workers run: the same program and
-// arguments, minus the orchestration flags (the executor's workers are
-// `shard-worker` protocol peers now — dist/transport.h — so sharding is
-// carried by the request, not flags) and the reporting flags (a worker's
-// only output is its artifact; the parent reports the merge).
-std::vector<std::string> worker_command(const ScenarioOptions& options) {
-  if (options.program.empty()) {
-    throw std::invalid_argument(
-        "--processes needs the harness's own command line; run through "
-        "fairsched_exp (or use --shard workers and `merge` manually)");
-  }
-  std::vector<std::string> command{options.program};
-  const std::vector<std::string> kept = drop_flag_tokens(
-      options.raw_args, {"processes", "shard", "partial-out", "csv",
-                         "json", "stream-records"});
-  command.insert(command.end(), kept.begin(), kept.end());
-  return command;
-}
-
 // The --stream-records sink: an owning CSV writer over a file or stdout.
 // Records arrive in the deterministic fold order, so the emitted file is
 // bit-identical across thread counts.
@@ -408,7 +389,6 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
   options.dispatch_log_path = flags.get_string("dispatch-log", "");
   options.resume_dispatch = flags.get_bool("resume", false);
   options.dry_run = flags.get_bool("dry-run", false);
-  options.persistent_workers = flags.get_bool("persistent-workers", false);
   options.speculate = flags.get_bool("speculate", false);
   options.speculate_factor = flags.get_double("speculate-factor", 2.0);
   if (options.speculate_factor <= 0.0) {
@@ -879,6 +859,12 @@ SweepSpec make_scenario_sweep(const std::string& command,
       "fig10, horizon-growth, fairshare-decay, strategy or custom");
 }
 
+bool is_scenario_sweep(const std::string& command) {
+  return command == "table1" || command == "table2" || command == "fig10" ||
+         command == "horizon-growth" || command == "fairshare-decay" ||
+         command == "strategy" || command == "custom";
+}
+
 std::vector<SweepSpec> make_ref_scaling_sweeps(
     const ScenarioOptions& options) {
   reject_axes("ref-scaling", options);
@@ -964,17 +950,8 @@ std::string custom_sweep_title(const SweepSpec& spec) {
   return title;
 }
 
-namespace {
-
-// The report that ends a sweep run and a merge alike: table, cache stats,
-// the strategy report with its --check-thm41 verdict, the spec's note,
-// then the CSV/JSON outputs. A partial shard passes its `partial_note`,
-// printed after the cache stats; it skips the strategy report, which needs
-// every cell (`merge` prints it over the folded whole instead). Returns
-// the exit code.
 int report_sweep(const SweepSpec& spec, const SweepResult& result,
-                 const ScenarioOptions& options,
-                 const char* partial_note = nullptr) {
+                 const ScenarioOptions& options, const char* partial_note) {
   std::FILE* human = human_file(options);
   TableReporter table(human_stream(options));
   table.report(spec, result);
@@ -997,8 +974,6 @@ int report_sweep(const SweepSpec& spec, const SweepResult& result,
   if (const int rc = emit_json_baseline(spec, result, options)) return rc;
   return thm41_rc;
 }
-
-}  // namespace
 
 int run_sweep_scenario(const SweepSpec& spec,
                        const ScenarioOptions& options) {
@@ -1041,11 +1016,11 @@ int run_sweep_scenario(const SweepSpec& spec,
 
   StreamRecords stream;
   if (const int rc = open_stream_records(spec, options, stream)) return rc;
-  Executor::RecordSink sink;
+  SweepDriver::RecordSink sink;
   if (stream.csv) {
     sink = [&stream](const RunRecord& record) { stream.csv->write(record); };
   }
-  Executor::Progress progress;
+  SweepDriver::Progress progress;
   if (!worker) {
     progress = [human](const std::string& message) {
       std::fprintf(human, "  finished %s\n", message.c_str());
@@ -1057,9 +1032,13 @@ int run_sweep_scenario(const SweepSpec& spec,
       build_sweep_plan(spec, PolicyRegistry::global(), shard);
   SweepResult result;
   if (options.processes > 1) {
-    MultiProcessExecutor executor(worker_command(options),
-                                  options.processes);
-    result = executor.execute(plan, progress, nullptr);
+    if (options.program.empty() || options.raw_args.empty()) {
+      throw std::invalid_argument(
+          "--processes needs the harness's own command line; run through "
+          "fairsched_exp (or use --shard workers and `merge` manually)");
+    }
+    result = run_local_sessions(plan, options.raw_args.front(), options,
+                                progress);
   } else {
     ThreadPoolExecutor executor;
     result = executor.execute(plan, progress, sink);

@@ -12,6 +12,7 @@
 
 #include "core/types.h"
 #include "exp/sweep.h"
+#include "exp/sweep_plan.h"
 #include "util/cli.h"
 #include "workload/assignment.h"
 
@@ -45,16 +46,17 @@ struct ScenarioOptions {
   // Planner/executor split (docs/ARCHITECTURE.md). --shard=i/N executes
   // only shard i of the plan's N-way partition (by prefix family, so
   // cache locality survives); --partial-out writes the shard's result as
-  // a versioned artifact for `fairsched_exp merge`; --processes=N forks N
-  // worker subprocesses, one per shard, and merges their artifacts
-  // in-process — output stays bit-identical to a single-process run.
+  // a versioned artifact for `fairsched_exp merge`; --processes=N runs
+  // the N shards on N local shard-worker sessions through the dispatcher
+  // and merges their artifacts — output stays bit-identical to a
+  // single-process run.
   std::string shard;        // "" = whole run
   std::string partial_out;  // "" = report normally
   std::size_t processes = 0;  // 0/1 = in-process execution
 
-  // How `fairsched_exp` was invoked, for the multi-process executor's
-  // self-re-invocation: the resolved program path and every original
-  // argv token after it (subcommand included). Filled by exp_main.
+  // How `fairsched_exp` was invoked, for the workers `--processes` and
+  // `dispatch` start: the resolved program path and every original argv
+  // token after it (subcommand included). Filled by exp_main.
   std::string program;
   std::vector<std::string> raw_args;
   MachineSplit split = MachineSplit::kZipf;
@@ -132,15 +134,12 @@ struct ScenarioOptions {
   std::string dispatch_log_path;      // "" = <artifact-dir>/dispatch.log.jsonl
   bool resume_dispatch = false;       // --resume
   bool dry_run = false;               // --dry-run: print the assignment plan
-  // --persistent-workers: protocol-v2 sessions — one long-lived
-  // `shard-worker --session` per worker serves every shard, keeping its
-  // WorkloadCache warm across shards (docs/DISTRIBUTED.md).
-  bool persistent_workers = false;
   bool speculate = false;          // --speculate: straggler re-execution
   double speculate_factor = 2.0;   // --speculate-factor (p50 multiplier)
-  // --dispatch-bench: time spawn-per-attempt vs persistent sessions over
-  // --bench-repeats repeats of the same dispatch and write the
-  // BENCH_dispatch.json record instead of the normal reports.
+  // --dispatch-bench: time spawn-per-attempt (the one-shot shard-worker)
+  // vs persistent sessions over --bench-repeats repeats of the same
+  // dispatch and write the BENCH_dispatch.json record instead of the
+  // normal reports.
   bool dispatch_bench = false;
   std::size_t bench_repeats = 3;
 };
@@ -210,12 +209,15 @@ void apply_strategy_axes(SweepSpec& spec, const ScenarioOptions& options);
 // The spec for any shardable sweep subcommand by name — table1/table2,
 // fig10, horizon-growth, fairshare-decay, strategy, and custom
 // (--config included).
-// This is the scenario selector shared by exp_main, `dispatch --sweep=`
-// and the shard-worker's spec rebuild; scenarios that post-process per-run
-// data (utilization, rand-convergence, ref-scaling) are rejected because
-// they cannot be partitioned into mergeable shards.
+// This is the scenario selector shared by exp_main, `dispatch --sweep=`,
+// `--processes` and the shard-worker's spec rebuild; scenarios that
+// post-process per-run data (utilization, rand-convergence, ref-scaling)
+// are rejected because they cannot be partitioned into mergeable shards.
 SweepSpec make_scenario_sweep(const std::string& command,
                               const ScenarioOptions& options);
+
+// True when make_scenario_sweep accepts `command`.
+bool is_scenario_sweep(const std::string& command);
 
 // Drops `--name=value`, `--name value` and bare `--name` occurrences of
 // the given flags from a raw argv tail — used to rebuild worker command
@@ -240,7 +242,29 @@ std::string custom_sweep_title(const SweepSpec& spec);
 // (options.csv_path), streaming per-run CSV (options.stream_records_path),
 // JSON perf baseline (options.json_path, defaulted to BENCH_<sweep>.json
 // under --smoke). Returns a process exit code.
+// --processes=N runs the shards on N local shard-worker sessions
+// (run_local_sessions) and reports the merge like the in-process run.
 int run_sweep_scenario(const SweepSpec& spec, const ScenarioOptions& options);
+
+// The report that ends a sweep run, a merge and a dispatch alike: table,
+// cache stats, the strategy report with its --check-thm41 verdict, the
+// spec's note, then the --csv/--json outputs. A partial shard passes its
+// `partial_note`, printed after the cache stats; it skips the strategy
+// report, which needs every cell. Returns the exit code.
+int report_sweep(const SweepSpec& spec, const SweepResult& result,
+                 const ScenarioOptions& options,
+                 const char* partial_note = nullptr);
+
+// `--processes=N`: dispatches the whole-run `plan` of subcommand `command`
+// onto N local `shard-worker --session` workers, with one attempt per
+// shard (a local worker that dies signals a bug, not a flaky network), a
+// scratch artifact directory removed afterwards and no dispatch log. Each
+// worker gets plan.spec.threads (or the hardware concurrency) divided by
+// N threads. Throws when a shard fails.
+SweepResult run_local_sessions(const SweepPlan& plan,
+                               const std::string& command,
+                               const ScenarioOptions& options,
+                               const SweepDriver::Progress& progress);
 
 // Figure 7 + Thm 6.2: prints the adversarial 3/4-utilization family, then
 // runs the random-instance sweep and checks the worst pairwise greedy

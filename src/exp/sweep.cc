@@ -288,9 +288,10 @@ const SweepCell& SweepResult::cell(const SweepSpec& spec,
 SweepResult SweepDriver::run(const SweepSpec& spec, Progress progress,
                              RecordSink sink) const {
   // The driver is the whole-run facade over the planner/executor split:
-  // build the (unsharded) plan, execute it in process. Sharded and
-  // multi-process execution use build_sweep_plan + an Executor directly
-  // (exp/sweep_plan.h, exp/executor.h).
+  // build the (unsharded) plan, execute it in process. Sharded execution
+  // uses build_sweep_plan + ThreadPoolExecutor directly, and out-of-process
+  // execution the dispatcher (exp/sweep_plan.h, exp/executor.h,
+  // dist/dispatcher.h).
   const SweepPlan plan = build_sweep_plan(spec, registry_);
   ThreadPoolExecutor executor;
   return executor.execute(plan, std::move(progress), std::move(sink));

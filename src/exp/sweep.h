@@ -6,8 +6,9 @@
 // product of named parameter axes (number of organizations, horizon,
 // fair-share half-life, ...). Execution is layered (docs/ARCHITECTURE.md):
 // exp/sweep_plan.h expands a spec into a pure, serializable, shardable
-// SweepPlan; exp/executor.h runs a plan in-process (thread pool) or across
-// worker subprocesses; exp/sweep_artifact.h merges shard partials. The
+// SweepPlan; exp/executor.h runs a plan in process on a thread pool, and
+// dist/dispatcher.h across shard-worker sessions; exp/sweep_artifact.h
+// merges shard partials. The
 // SweepDriver below is the whole-run facade over those layers: it shards
 // independent (axis point, workload, instance) cells across the shared
 // ThreadPool and folds the results in a fixed sequential order, so the

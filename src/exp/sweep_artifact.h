@@ -7,8 +7,8 @@
 // the spec summary, the plan fingerprint, the shard's cache/wall-time
 // accounting, and — the payload — the exact Welford accumulator state of
 // every cell the shard owns (util/stats.h). `fairsched_exp merge` (or the
-// in-process MultiProcessExecutor) folds N such artifacts back into one
-// SweepResult.
+// dispatcher behind `dispatch` and `--processes`) folds N such artifacts
+// back into one SweepResult.
 //
 // The merge determinism contract: because shards partition *prefix
 // families* (exp/sweep_plan.h), every cell's runs execute within exactly

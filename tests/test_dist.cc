@@ -10,7 +10,10 @@
 // driven through latched transports (benign duplicate-loss keeps the
 // bytes; a divergent duplicate quarantines both artifacts and aborts),
 // and PersistentTransport runs end-to-end against the real fairsched_exp
-// binary (FAIRSCHED_EXP_BINARY). Also pins the `dispatch --dry-run`
+// binary (FAIRSCHED_EXP_BINARY), as do `--processes` and `dispatch`
+// through the CLI. Hostile size headers in frames must end in protocol
+// errors, and spawned workers must not inherit a live session's pipes.
+// Also pins the `dispatch --dry-run`
 // assignment plan to tests/golden/dispatch_dry_run.json (regenerate with
 // FAIRSCHED_UPDATE_GOLDEN=1).
 
@@ -318,6 +321,58 @@ TEST(SessionProtocol, UnknownArtifactVersionFailsNamingIt) {
     EXPECT_NE(std::string(e.what()).find("v3"), std::string::npos)
         << e.what();
   }
+}
+
+// Frame readers trust no size header: a count or byte size announced in
+// a header allocates nothing until the matching lines or bytes arrive, so
+// a hostile header ends in the protocol's own error.
+
+TEST(HostileFrames, HugeArgCountThenEofIsAProtocolError) {
+  std::istringstream wire(
+      "fairsched-dispatch-request 1\nfingerprint 0123456789abcdef\n"
+      "shard 0 1\nthreads 1\nargs 100000000000\ncustom\n");
+  try {
+    read_dispatch_request(wire);
+    FAIL() << "expected a protocol error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "stream ended while expecting an arg line"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileFrames, ConfigTruncatedUnderAHugeSizeIsAProtocolError) {
+  std::istringstream wire(
+      "fairsched-dispatch-request 1\nfingerprint 0123456789abcdef\n"
+      "shard 0 1\nthreads 1\nargs 1\ncustom\n"
+      "config 300000000 sweep.cfg\nabcd");
+  try {
+    read_dispatch_request(wire);
+    FAIL() << "expected a protocol error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "truncated config content: got 4 of 300000000 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(HostileFrames, HugeArtifactPayloadHeaderIsAProtocolError) {
+  const std::string text =
+      "fairsched-shard-artifact 1\nshard 0 1\npayload 300000000000\nabc\n";
+  try {
+    parse_artifact_frame(text, "hostile");
+    FAIL() << "expected a protocol error";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "truncated artifact payload: got 4 of 300000000000 bytes"),
+              std::string::npos)
+        << e.what();
+  }
+  // The session scanner waits for the announced bytes instead.
+  std::size_t extent = 0;
+  EXPECT_FALSE(scan_session_frame(text, 0, &extent));
 }
 
 // --- run_worker_process -----------------------------------------------------
@@ -1027,6 +1082,35 @@ TEST(PersistentSession, V1PeerFallsBackToSpawnPerAttempt) {
       << log_stream.str();
 }
 
+// The number of fds a run_worker_process child holds open: the child
+// counts its own /proc entries and frames the count as its artifact.
+std::string child_fd_count() {
+  const auto outcome = run_worker_process(
+      {"/bin/sh", "-c",
+       "cat > /dev/null; n=0; for f in /proc/$$/fd/*; do n=$((n+1)); done; "
+       "printf 'fairsched-shard-artifact 1\\nshard 2 5\\npayload "
+       "%d\\n%s\\nend\\n' ${#n} $n"},
+      sample_request(), std::chrono::milliseconds(0));
+  EXPECT_EQ(outcome.status, WorkerTransport::Outcome::Status::kArtifact)
+      << outcome.detail;
+  return outcome.payload;
+}
+
+TEST(PersistentSession, SpawnedChildrenInheritNoSessionPipes) {
+  const std::string idle = child_fd_count();
+  // Serve one shard so the session is live (and idle) while the next
+  // child is spawned: its dispatcher-side pipe ends must not leak into it.
+  const E2eSweep e2e = e2e_sweep();
+  PersistentTransport session(
+      "session#0",
+      {FAIRSCHED_EXP_BINARY, "shard-worker", "--session"},
+      {FAIRSCHED_EXP_BINARY, "shard-worker"});
+  ASSERT_EQ(session.run_shard(e2e.request, std::chrono::milliseconds(0))
+                .status,
+            WorkerTransport::Outcome::Status::kArtifact);
+  EXPECT_EQ(child_fd_count(), idle);
+}
+
 TEST(PersistentSession, TimeoutTearsDownAndRespawnsTheSession) {
   PersistentTransport transport("hang#0", {"/bin/sh", "-c", "sleep 30"},
                                 {"/bin/true"});
@@ -1059,6 +1143,76 @@ TEST(PersistentSession, MidStreamDisconnectFailsTheAttemptOnly) {
       << outcome.detail;
   EXPECT_EQ(transport.hello_threads(), 4u);
   EXPECT_EQ(transport.session_stats().opens, 1u);
+}
+
+// --- the out-of-process CLI paths (--processes, dispatch) -------------------
+
+// Runs `fairsched_exp <args>` inside `dir` (so --smoke's BENCH_*.json
+// lands there) and returns its exit code.
+int run_exp(const std::filesystem::path& dir, const std::string& args) {
+  const std::string command = "cd '" + dir.string() + "' && '" +
+                              FAIRSCHED_EXP_BINARY + "' " + args +
+                              " > out.txt 2> err.txt";
+  return std::system(command.c_str());
+}
+
+std::string file_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+const std::string kPolicyConfig =
+    std::string("--config=") + FAIRSCHED_SOURCE_DIR +
+    "/bench/configs/custom_policy.cfg";
+
+TEST(OutOfProcess, ConfigDefinedPoliciesOverProcessesMatchTheWholeRun) {
+  TempDir dir("processes-config");
+  ASSERT_EQ(run_exp(dir.path, "custom " + kPolicyConfig +
+                                  " --smoke --threads=1 --csv=whole.csv"),
+            0)
+      << file_text(dir.path / "err.txt");
+  ASSERT_EQ(run_exp(dir.path, "custom " + kPolicyConfig +
+                                  " --smoke --processes=3 --csv=mp.csv"),
+            0)
+      << file_text(dir.path / "err.txt");
+  const std::string whole = file_text(dir.path / "whole.csv");
+  EXPECT_FALSE(whole.empty());
+  EXPECT_EQ(file_text(dir.path / "mp.csv"), whole);
+}
+
+TEST(OutOfProcess, StrategyOverProcessesMatchesTheInProcessRun) {
+  TempDir dir("processes-strategy");
+  ASSERT_EQ(run_exp(dir.path, "strategy --smoke --csv=whole.csv"), 0)
+      << file_text(dir.path / "err.txt");
+  ASSERT_EQ(run_exp(dir.path, "strategy --smoke --processes=3 --csv=mp.csv"),
+            0)
+      << file_text(dir.path / "err.txt");
+  const std::string whole = file_text(dir.path / "whole.csv");
+  EXPECT_FALSE(whole.empty());
+  EXPECT_EQ(file_text(dir.path / "mp.csv"), whole);
+}
+
+TEST(OutOfProcess, DispatchRunsLocalWorkersAsSessions) {
+  TempDir dir("dispatch-sessions");
+  ASSERT_EQ(run_exp(dir.path, "custom " + kPolicyConfig +
+                                  " --smoke --threads=1 --csv=whole.csv"),
+            0)
+      << file_text(dir.path / "err.txt");
+  ASSERT_EQ(run_exp(dir.path, "dispatch --sweep=custom " + kPolicyConfig +
+                                  " --smoke --workers='local*2' "
+                                  "--artifact-dir=arts --csv=dispatched.csv"),
+            0)
+      << file_text(dir.path / "err.txt");
+  EXPECT_EQ(file_text(dir.path / "dispatched.csv"),
+            file_text(dir.path / "whole.csv"));
+  const std::string log = file_text(dir.path / "arts/dispatch.log.jsonl");
+  EXPECT_NE(log.find("\"event\":\"session-open\""), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("\"event\":\"session-hello\""), std::string::npos)
+      << log;
+  EXPECT_EQ(log.find("session-v1-fallback"), std::string::npos) << log;
 }
 
 // --- dry-run golden ---------------------------------------------------------
