@@ -18,15 +18,17 @@ OrgId DirectContrPolicy::select(const PolicyView& view) {
 
 void DirectContrPolicy::repair(const PolicyView& view) {
   if (view.now() == repaired_at_) return;
-  for (OrgId u = 0; u < view.num_orgs(); ++u) {
-    if (drifting_[u] && view.waiting(u) > 0) index_.set(u, key_of(view, u));
-  }
+  for (const OrgId u : drift_list_) index_.set(u, key_of(view, u));
   repaired_at_ = view.now();
 }
 
 void DirectContrPolicy::on_release(const PolicyView& view, OrgId org) {
-  if (!track(view)) return;
+  // A waiting organization's key moves only with time (repaired at the next
+  // decision timestamp) and at its own starts (re-keyed there), so only a
+  // queue turning non-empty needs a key.
+  if (!track(view) || index_.has(org)) return;
   index_.set(org, key_of(view, org));
+  if (drifting_[org]) drift_list_.insert(org);
 }
 
 void DirectContrPolicy::on_complete(const PolicyView& view, OrgId /*org*/,
@@ -41,21 +43,28 @@ void DirectContrPolicy::on_start(const PolicyView& view, OrgId org,
                                  std::uint32_t /*index*/, MachineId machine) {
   if (!track(view)) return;
   drifting_[org] = 1;
-  drifting_[view.machine_owner(machine)] = 1;
+  const OrgId owner = view.machine_owner(machine);
+  drifting_[owner] = 1;
+  if (index_.has(owner)) drift_list_.insert(owner);
   if (view.waiting(org) > 0) {
     index_.set(org, key_of(view, org));
+    drift_list_.insert(org);
   } else {
     index_.clear(org);
+    drift_list_.erase(org);
   }
 }
 
 void DirectContrPolicy::rebuild(const PolicyView& view) {
   index_.init(view.num_orgs());
   drifting_.assign(view.num_orgs(), 0);
+  drift_list_.init(view.num_orgs());
   for (OrgId u = 0; u < view.num_orgs(); ++u) {
     drifting_[u] = view.running(u) > 0 || view.busy_machines(u) > 0 ||
                    view.work_done(u) > 0 || view.contrib_work(u) > 0;
-    if (view.waiting(u) > 0) index_.set(u, key_of(view, u));
+    if (view.waiting(u) == 0) continue;
+    index_.set(u, key_of(view, u));
+    if (drifting_[u]) drift_list_.insert(u);
   }
   repaired_at_ = view.now();
 }

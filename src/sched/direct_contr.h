@@ -23,9 +23,11 @@
 // (ties to the lower id, like the scan's first-strict-improvement rule).
 // Both accounts accrue with time for any organization that ever ran a job
 // or hosted one, so those keys drift between timestamps: the policy keeps a
-// drift flag per organization and refreshes flagged waiting keys once per
-// distinct decision timestamp. Within one timestamp no key moves (starting
-// or completing a job adds no *accrued* value at that same instant).
+// drift flag per organization, lists the flagged organizations that wait,
+// and refreshes exactly those keys once per distinct decision timestamp.
+// Within one timestamp no key moves (starting or completing a job adds no
+// *accrued* value at that same instant), and a release into a queue that
+// already waits moves none either.
 
 #include <vector>
 
@@ -59,6 +61,8 @@ class DirectContrPolicy final : public IncrementalPolicy {
   // (the closed-form accrual has a work * dt term, so history alone
   // drifts). Never cleared — work never decreases.
   std::vector<char> drifting_;
+  // The drifting organizations that wait: exactly the keys repair moves.
+  DenseIdList drift_list_;
   Time repaired_at_ = 0;
 };
 

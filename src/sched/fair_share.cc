@@ -16,15 +16,17 @@ OrgId RatioSharePolicyBase::select(const PolicyView& view) {
 
 void RatioSharePolicyBase::repair(const PolicyView& view) {
   if (view.now() == repaired_at_) return;
-  for (OrgId u = 0; u < view.num_orgs(); ++u) {
-    if (drifting_[u] && view.waiting(u) > 0) index_.set(u, key_of(view, u));
-  }
+  for (const OrgId u : drift_list_) index_.set(u, key_of(view, u));
   repaired_at_ = view.now();
 }
 
 void RatioSharePolicyBase::on_release(const PolicyView& view, OrgId org) {
-  if (!track(view)) return;
+  // A waiting organization's key moves only at its own starts and
+  // completions (re-keyed there) and with time (repaired at the next
+  // decision timestamp), so only a queue turning non-empty needs a key.
+  if (!track(view) || index_.has(org)) return;
   index_.set(org, key_of(view, org));
+  update_drift_list(org);
 }
 
 void RatioSharePolicyBase::on_complete(const PolicyView& view, OrgId org,
@@ -33,8 +35,9 @@ void RatioSharePolicyBase::on_complete(const PolicyView& view, OrgId org,
   // Refresh before the drift flag can drop (e.g. FAIRSHARE when the last
   // running job completes: the work accrued up to now must be folded into
   // the key while the organization still counts as drifting).
-  if (view.waiting(org) > 0) index_.set(org, key_of(view, org));
+  if (index_.has(org)) index_.set(org, key_of(view, org));
   drifting_[org] = drifts(view, org);
+  update_drift_list(org);
 }
 
 void RatioSharePolicyBase::on_start(const PolicyView& view, OrgId org,
@@ -47,14 +50,20 @@ void RatioSharePolicyBase::on_start(const PolicyView& view, OrgId org,
   } else {
     index_.clear(org);
   }
+  update_drift_list(org);
 }
 
 void RatioSharePolicyBase::rebuild(const PolicyView& view) {
-  index_.init(view.num_orgs());
-  drifting_.assign(view.num_orgs(), 0);
-  for (OrgId u = 0; u < view.num_orgs(); ++u) {
+  const std::uint32_t n = view.num_orgs();
+  index_.init(n);
+  share_.resize(n);
+  drifting_.assign(n, 0);
+  drift_list_.init(n);
+  for (OrgId u = 0; u < n; ++u) {
+    share_[u] = view.share(u);
     drifting_[u] = drifts(view, u);
     if (view.waiting(u) > 0) index_.set(u, key_of(view, u));
+    update_drift_list(u);
   }
   repaired_at_ = view.now();
 }

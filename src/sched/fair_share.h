@@ -18,16 +18,21 @@
 // zero share are served only when no positive-share organization waits
 // (their ratio is treated as +infinity).
 //
-// Incremental: the minimized key is the pair (zero-share class, ratio) —
-// lexicographic comparison with ties to the lower id reproduces the scan's
-// class-then-ratio-then-first-wins rule, and the ratio is computed by the
-// very same double expression, so scan and tree agree bit-for-bit. Keys
-// whose metric accrues with wall time (FAIRSHARE while jobs run,
-// UTFAIRSHARE once any work exists) carry a drift flag and are refreshed
-// once per distinct decision timestamp; CURRFAIRSHARE's metric only changes
-// at events, so it never repairs.
+// Incremental: the minimized key is one double, metric / share for a
+// positive share and +infinity for a zero share. Finite ratios rank before
+// every +infinity key and equal keys tie to the lower id, which is the
+// scan's class-then-ratio-then-first-wins rule; the ratio is computed by
+// the very same double expression, so scan and tree agree bit-for-bit.
+// Shares are fixed for an engine's lifetime, so rebuild() caches them and
+// no notification reads PolicyView::share. A release into a queue that
+// already waits moves no key and touches no index. Keys whose metric
+// accrues with wall time (FAIRSHARE while jobs run, UTFAIRSHARE once any
+// work exists) carry a drift flag; the drifting organizations that wait
+// are kept in a list, and repair refreshes exactly those once per distinct
+// decision timestamp. CURRFAIRSHARE's metric only changes at events, so
+// its list stays empty.
 
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "sched/org_index.h"
@@ -55,18 +60,28 @@ class RatioSharePolicyBase : public IncrementalPolicy {
   virtual bool drifts(const PolicyView& view, OrgId u) const = 0;
 
  private:
-  // (zero-share class, metric/share): positive-share organizations first,
-  // then smaller ratio, ties to the lower id via the argmin tree.
-  using Key = std::pair<int, double>;
+  // metric/share, +infinity for a zero share: positive-share organizations
+  // first, then smaller ratio, ties to the lower id via the argmin tree.
+  using Key = double;
   Key key_of(const PolicyView& view, OrgId u) const {
-    const double share = view.share(u);
-    if (share <= 0.0) return Key(1, 0.0);
-    return Key(0, metric(view, u) / share);
+    const double share = share_[u];
+    if (share <= 0.0) return std::numeric_limits<double>::infinity();
+    return metric(view, u) / share;
+  }
+  // Keeps u in drift_list_ iff it drifts and waits.
+  void update_drift_list(OrgId u) {
+    if (drifting_[u] && index_.has(u)) {
+      drift_list_.insert(u);
+    } else {
+      drift_list_.erase(u);
+    }
   }
   void repair(const PolicyView& view);
 
   KeyedArgmin<Key> index_;
+  std::vector<double> share_;
   std::vector<char> drifting_;
+  DenseIdList drift_list_;
   Time repaired_at_ = 0;
 };
 

@@ -16,9 +16,9 @@ OrgId FcfsPolicy::select(const PolicyView& view) {
 }
 
 void FcfsPolicy::on_release(const PolicyView& view, OrgId org) {
-  if (!track(view)) return;
-  // The front job only changes when the queue was empty, but re-setting the
-  // same key is harmless and cheaper than distinguishing.
+  // The front job, and with it the key, only changes when the queue was
+  // empty; a release behind a waiting front touches no index.
+  if (!track(view) || index_.has(org)) return;
   index_.set(org, view.front_release(org));
 }
 

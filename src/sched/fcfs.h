@@ -9,8 +9,9 @@
 // tests/test_rand.cc checks the two agree).
 //
 // Incremental: each waiting organization's key is its front job's release
-// time; releases and starts touch one key, so an attached run answers
-// select() as an O(log n) argmin (keys are time-invariant — no repair).
+// time; a start and a release into an empty queue touch one key, a release
+// behind a waiting front touches none, so an attached run answers select()
+// as an O(1) argmin (keys are time-invariant — no repair).
 
 #include "sched/org_index.h"
 #include "sim/policy.h"

@@ -4,33 +4,46 @@
 //
 // The push lifecycle of sim/policy.h lets a policy mirror the engine state
 // it ranks organizations by, instead of rescanning every organization per
-// decision. This header packages the three pieces every in-tree port uses:
+// decision. A mirror pays only where an organization's key can have
+// changed: a start or completion of its own jobs, its queue turning
+// non-empty, or — for keys that accrue with wall time — the first decision
+// at a new timestamp, and then only for the organizations that drift. A
+// release into a queue that already waits moves no key, so it costs the
+// mirror nothing beyond the version check. This header packages the four
+// pieces every in-tree port uses:
 //
 //   * IncrementalPolicy — the mirror-bookkeeping base. The engine's
 //     PolicyView::state_version() counts every observable state change
 //     (events processed + jobs started); the base records the version the
 //     mirror was last synchronized at. Notification handlers call track():
 //     when the notification is exactly the next unseen change, the handler
-//     applies its O(log n) delta; otherwise the mirror is stale (the policy
-//     is being driven by a loop that steps the engine without attaching —
-//     see Engine::attach) and select() heals itself by rebuilding from the
-//     view via ensure_synced(). This keeps every port exact under BOTH
-//     drivers: attached runs pay O(log n) per event, detached drivers
-//     degrade to the historical O(n)-per-decision cost, never to a wrong
-//     answer.
+//     applies its delta (O(log n) when a key moves, O(1) when none does);
+//     otherwise the mirror is stale (the policy is being driven by a loop
+//     that steps the engine without attaching — see Engine::attach) and
+//     select() heals itself by rebuilding from the view via
+//     ensure_synced(). This keeps every port exact under BOTH drivers:
+//     attached runs pay per key change, detached drivers degrade to the
+//     historical O(n)-per-decision cost, never to a wrong answer.
 //
 //   * KeyedArgmin<Key> — a tournament tree over organization ids with an
 //     explicit priority key per id. argmin() is O(1), set()/clear() are
 //     O(log n). Ties on equal keys resolve to the LOWER id, which is
 //     exactly the "first strict improvement wins" rule of the scan loops
 //     these trees replace — so scan and tree agree bit-for-bit as long as
-//     the key is computed by the same expression the scan used.
+//     the key is computed by the same expression the scan used. The tree's
+//     state is a function of the present keys alone, so the order of the
+//     set()/clear() calls that produced them cannot change argmin().
 //
 //   * OrderStatSet — a Fenwick-backed set of organization ids supporting
 //     O(log n) insert/erase/count_below/kth. Backs ROUNDROBIN (first member
 //     at-or-after the cursor = kth(count_below(cursor))) and RANDOM (the
 //     i-th smallest member is position i of the ascending candidate vector
 //     the scan used to build, so one uniform draw indexes identically).
+//
+//   * DenseIdList — an unordered set of organization ids with O(1)
+//     insert/erase (swap-remove) and iteration over the members only.
+//     Mirrors with time-drifting keys keep their drifting *waiting*
+//     organizations in one, so a repair visits those and nothing else.
 
 #include <cstdint>
 #include <utility>
@@ -194,6 +207,51 @@ class OrderStatSet {
   std::uint32_t size_ = 0;
   std::vector<std::uint32_t> tree_;
   std::vector<char> member_;
+};
+
+// Unordered set over a dense id range: the members in a vector plus each
+// id's position in it. insert/erase/contains are O(1) (erase moves the last
+// member into the hole); iteration visits the members only, in an order
+// that depends on the update history.
+class DenseIdList {
+ public:
+  void init(std::uint32_t n) {
+    ids_.clear();
+    pos_.assign(n, kAbsent);
+  }
+
+  std::uint32_t size() const {
+    return static_cast<std::uint32_t>(ids_.size());
+  }
+  bool contains(std::uint32_t i) const { return pos_[i] != kAbsent; }
+
+  void insert(std::uint32_t i) {
+    if (pos_[i] != kAbsent) return;
+    pos_[i] = static_cast<std::uint32_t>(ids_.size());
+    ids_.push_back(i);
+  }
+
+  void erase(std::uint32_t i) {
+    const std::uint32_t at = pos_[i];
+    if (at == kAbsent) return;
+    const std::uint32_t last = ids_.back();
+    ids_[at] = last;
+    pos_[last] = at;
+    ids_.pop_back();
+    pos_[i] = kAbsent;
+  }
+
+  std::vector<std::uint32_t>::const_iterator begin() const {
+    return ids_.begin();
+  }
+  std::vector<std::uint32_t>::const_iterator end() const {
+    return ids_.end();
+  }
+
+ private:
+  static constexpr std::uint32_t kAbsent = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> ids_;
+  std::vector<std::uint32_t> pos_;
 };
 
 }  // namespace fairsched

@@ -260,44 +260,4 @@ void Engine::run(Policy& policy, Time horizon) {
   listener_ = previous;
 }
 
-// --- PolicyView ------------------------------------------------------------
-
-Time PolicyView::now() const { return engine_.now(); }
-std::uint32_t PolicyView::num_orgs() const { return engine_.num_orgs(); }
-bool PolicyView::active(OrgId u) const { return engine_.is_active(u); }
-std::uint32_t PolicyView::waiting(OrgId u) const { return engine_.waiting(u); }
-Time PolicyView::front_release(OrgId u) const {
-  return engine_.front_release(u);
-}
-std::uint32_t PolicyView::running(OrgId u) const { return engine_.running(u); }
-std::uint32_t PolicyView::completed(OrgId u) const {
-  return engine_.completed(u);
-}
-std::uint32_t PolicyView::free_machines() const {
-  return engine_.free_machines();
-}
-std::uint32_t PolicyView::machines_of(OrgId u) const {
-  return engine_.machines_of(u);
-}
-std::uint32_t PolicyView::busy_machines(OrgId u) const {
-  return engine_.busy_machines(u);
-}
-OrgId PolicyView::machine_owner(MachineId m) const {
-  return engine_.instance().machine_owner(m);
-}
-double PolicyView::share(OrgId u) const { return engine_.share(u); }
-HalfUtil PolicyView::psi2(OrgId u) const { return engine_.psi2(u); }
-HalfUtil PolicyView::contrib_psi2(OrgId u) const {
-  return engine_.contrib_psi2(u);
-}
-std::int64_t PolicyView::work_done(OrgId u) const {
-  return engine_.work_done(u);
-}
-std::int64_t PolicyView::contrib_work(OrgId u) const {
-  return engine_.contrib_work(u);
-}
-std::uint64_t PolicyView::state_version() const {
-  return engine_.state_version();
-}
-
 }  // namespace fairsched

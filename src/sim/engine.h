@@ -385,4 +385,55 @@ class Engine {
   Schedule schedule_;
 };
 
+// --- PolicyView ------------------------------------------------------------
+//
+// Defined inline here, after Engine, so every read a policy makes per event
+// compiles to the engine access itself. sim/policy.h includes this header
+// at its end, so a translation unit that includes only sim/policy.h sees
+// these definitions too.
+
+inline Time PolicyView::now() const { return engine_.now(); }
+inline std::uint32_t PolicyView::num_orgs() const {
+  return engine_.num_orgs();
+}
+inline bool PolicyView::active(OrgId u) const { return engine_.is_active(u); }
+inline std::uint32_t PolicyView::waiting(OrgId u) const {
+  return engine_.waiting(u);
+}
+inline Time PolicyView::front_release(OrgId u) const {
+  return engine_.front_release(u);
+}
+inline std::uint32_t PolicyView::running(OrgId u) const {
+  return engine_.running(u);
+}
+inline std::uint32_t PolicyView::completed(OrgId u) const {
+  return engine_.completed(u);
+}
+inline std::uint32_t PolicyView::free_machines() const {
+  return engine_.free_machines();
+}
+inline std::uint32_t PolicyView::machines_of(OrgId u) const {
+  return engine_.machines_of(u);
+}
+inline std::uint32_t PolicyView::busy_machines(OrgId u) const {
+  return engine_.busy_machines(u);
+}
+inline OrgId PolicyView::machine_owner(MachineId m) const {
+  return engine_.instance().machine_owner(m);
+}
+inline double PolicyView::share(OrgId u) const { return engine_.share(u); }
+inline HalfUtil PolicyView::psi2(OrgId u) const { return engine_.psi2(u); }
+inline HalfUtil PolicyView::contrib_psi2(OrgId u) const {
+  return engine_.contrib_psi2(u);
+}
+inline std::int64_t PolicyView::work_done(OrgId u) const {
+  return engine_.work_done(u);
+}
+inline std::int64_t PolicyView::contrib_work(OrgId u) const {
+  return engine_.contrib_work(u);
+}
+inline std::uint64_t PolicyView::state_version() const {
+  return engine_.state_version();
+}
+
 }  // namespace fairsched

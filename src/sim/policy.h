@@ -120,3 +120,7 @@ class Policy {
 };
 
 }  // namespace fairsched
+
+// The PolicyView accessors are defined inline after Engine (sim/engine.h
+// includes this header first, so this include is a no-op there).
+#include "sim/engine.h"

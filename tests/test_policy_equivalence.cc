@@ -13,6 +13,11 @@
 //                  PolicyView::state_version (IncrementalPolicy::
 //                  ensure_synced).
 //
+// Besides random contended instances, the suite runs the traffic the
+// Theorem 4.1 deviation grid produces: one organization's jobs split into
+// same-release runs of unit pieces, where nearly every release lands in a
+// queue that already waits (the case the mirrors skip without re-keying).
+//
 // The scan reference policies below are verbatim copies of the historical
 // select() loops (first-strict-improvement argmin scans), kept here as the
 // executable specification the ports are measured against.
@@ -30,6 +35,7 @@
 #include "exp/policy_registry.h"
 #include "sim/engine.h"
 #include "sim/policy.h"
+#include "strategy/deviation.h"
 #include "util/rng.h"
 
 namespace fairsched {
@@ -222,8 +228,9 @@ RunTrace finish(const Engine& engine) {
 }
 
 // Engine::run — the policy is attached and receives every notification.
-RunTrace run_attached(const Instance& inst, Policy& policy, Time horizon) {
-  Engine engine(inst);
+RunTrace run_attached(const Instance& inst, Policy& policy, Time horizon,
+                      EngineOptions options = {}) {
+  Engine engine(inst, options);
   std::vector<Decision> decisions;
   Recorder recorder(policy, decisions);
   engine.run(recorder, horizon);
@@ -236,8 +243,8 @@ RunTrace run_attached(const Instance& inst, Policy& policy, Time horizon) {
 // must answer from the view alone. Waking at *every* event (not just
 // next_decision_time) also cross-checks the run loop's wake-skipping.
 RunTrace run_detached(const Instance& inst, Policy& policy, Time horizon,
-                      bool call_reset) {
-  Engine engine(inst);
+                      bool call_reset, EngineOptions options = {}) {
+  Engine engine(inst, options);
   PolicyView view(engine);
   if (call_reset) policy.reset(view);
   std::vector<Decision> decisions;
@@ -278,6 +285,20 @@ Instance random_instance(std::uint64_t seed) {
   }
   return std::move(b).build();
 }
+
+// random_instance with organization seed % k deviating by splitunit: each
+// of its jobs becomes unit pieces released together.
+Instance unit_piece_instance(std::uint64_t seed) {
+  const Instance honest = random_instance(seed);
+  return strategy::apply_deviation(
+      honest, static_cast<OrgId>(seed % honest.num_orgs()),
+      strategy::parse_deviation("splitunit"));
+}
+
+// Every incremental port in the registry.
+const std::vector<std::string> kPorts = {
+    "fcfs",        "roundrobin",    "random", "fairshare",
+    "utfairshare", "currfairshare", "directcontr"};
 
 using EquivCase = std::tuple<std::string, std::uint64_t>;
 
@@ -327,15 +348,80 @@ TEST_P(PolicyEquivalence, AttachedRunMatchesDetachedStepping) {
 INSTANTIATE_TEST_SUITE_P(
     Ports, PolicyEquivalence,
     ::testing::Combine(
-        ::testing::Values("fcfs", "roundrobin", "random", "fairshare",
-                          "utfairshare", "currfairshare", "directcontr"),
+        ::testing::ValuesIn(kPorts),
         ::testing::Values<std::uint64_t>(1, 2, 3, 4)),
     case_name);
+
+class UnitPieceEquivalence : public ::testing::TestWithParam<EquivCase> {};
+
+// Same-release unit-piece runs: the port agrees with the scan reference
+// under Engine::run and under detached stepping. Engines pick machines as
+// the registry runs the policy: DIRECTCONTR draws them at random, so the
+// owner credited by a start (whose key starts drifting) varies.
+TEST_P(UnitPieceEquivalence, BothDriversMatchScanReference) {
+  const auto& [name, seed] = GetParam();
+  const Instance inst = unit_piece_instance(seed);
+  ASSERT_GT(inst.num_jobs(), random_instance(seed).num_jobs());
+  const Time horizon = 60 + static_cast<Time>(seed % 5) * 20;
+  EngineOptions options;
+  options.seed = seed;
+  if (name == "directcontr") options.machine_pick = MachinePick::kRandomFree;
+
+  const auto scan = make_scan_reference(name, seed);
+  const auto attached_policy = registry().make_policy(name, seed);
+  const auto detached_policy = registry().make_policy(name, seed);
+  const RunTrace s = run_attached(inst, *scan, horizon, options);
+  const RunTrace a = run_attached(inst, *attached_policy, horizon, options);
+  const RunTrace d = run_detached(inst, *detached_policy, horizon,
+                                  /*call_reset=*/true, options);
+
+  EXPECT_EQ(a.decisions, s.decisions);
+  EXPECT_EQ(a.placements, s.placements);
+  EXPECT_EQ(a.utilities2, s.utilities2);
+  EXPECT_EQ(d.decisions, s.decisions);
+  EXPECT_EQ(d.placements, s.placements);
+  EXPECT_EQ(d.utilities2, s.utilities2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ports, UnitPieceEquivalence,
+    ::testing::Combine(::testing::ValuesIn(kPorts),
+                       ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5, 6, 7,
+                                                        8)),
+    case_name);
+
+// DIRECTCONTR: a waiting organization whose key has never moved starts
+// drifting when another organization's job starts on its machine. Org 0
+// owns no machine; at t=0 its two jobs take o1's and o2's machines while
+// o1 waits, and o2 releases at t=1. At t=2 o1's machine frees with o1 and
+// o2 both waiting and both credited for 2 hosted units: equal keys, so o1
+// (lower id) must win — which it only does if the mirror refreshed o1's
+// key although no job of o1's own started or completed.
+TEST(PolicyEquivalence, DirectContrRefreshesAWaitingOwnerWhoseMachineRuns) {
+  InstanceBuilder b;
+  b.add_org("x", 0);
+  b.add_org("o1", 1);
+  b.add_org("o2", 1);
+  b.add_job(0, 0, 2);
+  b.add_job(0, 0, 5);
+  b.add_job(1, 0, 1);
+  b.add_job(2, 1, 1);
+  const Instance inst = std::move(b).build();
+
+  const auto incremental = registry().make_policy("directcontr");
+  const auto scan = make_scan_reference("directcontr", 0);
+  const RunTrace a = run_attached(inst, *incremental, 20);
+  const RunTrace s = run_attached(inst, *scan, 20);
+  const std::vector<Decision> expected = {{0, 0}, {0, 0}, {2, 1}, {3, 2}};
+  EXPECT_EQ(s.decisions, expected);
+  EXPECT_EQ(a.decisions, s.decisions);
+  EXPECT_EQ(a.placements, s.placements);
+}
 
 // A mirror must also survive a driver that neither attaches nor resets:
 // ensure_synced() has to rebuild everything from the view on first use.
 TEST(PolicyEquivalence, DetachedWithoutResetHealsFromTheView) {
-  for (const char* name : {"fcfs", "roundrobin", "fairshare"}) {
+  for (const std::string& name : kPorts) {
     const Instance inst = random_instance(7);
     const auto attached_policy = registry().make_policy(name);
     const auto cold_policy = registry().make_policy(name);
