@@ -3,8 +3,8 @@
 
 The sweep engine's determinism contract covers the statistical output;
 wall-clock measurements and cache/shard accounting are observations of one
-particular execution and legitimately differ between a whole run, a
-sharded+merged run, and a disk-warm run. This script drops exactly those
+particular execution and legitimately differ between a whole run and a
+sharded+merged run. This script drops exactly those
 volatile fields and re-dumps the rest with sorted keys, so two equivalent
 runs must compare byte-equal:
 

@@ -1,38 +1,19 @@
 #include "dist/dispatcher.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <thread>
 
+#include "util/rng.h"
+
 namespace fairsched::dist {
 
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, fingerprint);
-  return buf;
-}
-
-// Same FNV-1a as the plan fingerprint (exp/sweep_plan.cc); here it folds
-// the whole-plan fingerprint with one shard's family set, giving each
-// shard a stable identity for the dry-run plan and for humans diffing
-// two dispatch plans.
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 std::string shard_label(std::size_t shard, std::size_t count) {
   return std::to_string(shard) + "/" + std::to_string(count);
@@ -756,8 +737,11 @@ void write_dispatch_plan_json(std::ostream& out, const exp::SweepPlan& plan,
     for (const std::size_t f : families) {
       family_key += std::to_string(f) + ",";
     }
+    // The plan fingerprint's hash (util/rng.h) folding the whole-plan
+    // fingerprint with this shard's family set: a stable per-shard
+    // identity for humans diffing two dispatch plans.
     const std::uint64_t shard_fingerprint =
-        fnv1a(fingerprint_hex(plan.fingerprint) + " " +
+        hash_fnv1a64(fingerprint_hex(plan.fingerprint) + " " +
               shard_label(s, shard_count) + " families=" + family_key);
     out << "    {\"shard\": " << s << ", \"worker\": \""
         << worker_names[s % worker_names.size()] << "\", \"artifact\": \""

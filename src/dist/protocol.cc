@@ -26,12 +26,6 @@ void reject_newlines(const std::string& value, const char* what) {
   }
 }
 
-std::string fingerprint_hex(std::uint64_t fingerprint) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, fingerprint);
-  return buf;
-}
-
 // One protocol line; EOF mid-frame is always a protocol error.
 std::string read_line(std::istream& in, const char* expecting) {
   std::string line;
@@ -151,6 +145,12 @@ void expect_end(std::istream& in, const char* frame) {
 }
 
 }  // namespace
+
+std::string fingerprint_hex(std::uint64_t fingerprint) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, fingerprint);
+  return buf;
+}
 
 void write_dispatch_request(std::ostream& out,
                             const DispatchRequest& request) {

@@ -66,6 +66,10 @@ struct DispatchRequest {
   std::string config_content;
 };
 
+// A 64-bit fingerprint as the 16 lowercase hex digits the framing, the
+// dispatch log and the dry-run plan all print.
+std::string fingerprint_hex(std::uint64_t fingerprint);
+
 // Serializes `request`. Throws std::invalid_argument when an arg or the
 // config name contains a newline (unrepresentable in the framing).
 void write_dispatch_request(std::ostream& out, const DispatchRequest& request);

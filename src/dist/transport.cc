@@ -475,7 +475,6 @@ WorkerTransport::Outcome PersistentTransport::run_shard(
             for (const auto& [stat_name, value] : frame.stats) {
               if (stat_name == "cache_hits") stats_.cache_hits += value;
               if (stat_name == "cache_misses") stats_.cache_misses += value;
-              if (stat_name == "disk_hits") stats_.disk_hits += value;
               if (stat_name == "replayed") stats_.replayed += value;
             }
           }
@@ -608,9 +607,6 @@ std::string PersistentTransport::summary() const {
   out << stats_.served << " shard(s) over " << stats_.opens
       << " session(s), cache " << stats_.cache_hits << " hit(s) / "
       << stats_.cache_misses << " miss(es)";
-  if (stats_.disk_hits > 0) {
-    out << " (" << stats_.disk_hits << " from disk)";
-  }
   if (stats_.replayed > 0) {
     out << ", " << stats_.replayed << " replayed run(s)";
   }

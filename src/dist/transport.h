@@ -134,7 +134,6 @@ class PersistentTransport final : public WorkerTransport {
     bool v1_peer = false;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t disk_hits = 0;
     std::uint64_t replayed = 0;
   };
 

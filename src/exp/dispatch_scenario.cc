@@ -320,7 +320,6 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
       session_totals.fallback += stats.fallback;
       session_totals.cache_hits += stats.cache_hits;
       session_totals.cache_misses += stats.cache_misses;
-      session_totals.disk_hits += stats.disk_hits;
       session_totals.replayed += stats.replayed;
     }
     print_worker_summaries(dispatcher, human);
@@ -378,7 +377,6 @@ int run_dispatch_bench(const ScenarioOptions& options, const SweepPlan& plan,
   json << "  \"session_fallback\": " << session_totals.fallback << ",\n";
   json << "  \"cache_hits\": " << session_totals.cache_hits << ",\n";
   json << "  \"cache_misses\": " << session_totals.cache_misses << ",\n";
-  json << "  \"disk_hits\": " << session_totals.disk_hits << ",\n";
   json << "  \"replayed\": " << session_totals.replayed << ",\n";
   json << "  \"csv_identical\": true\n";
   json << "}\n";
@@ -576,7 +574,6 @@ struct SessionCache {
   std::unique_ptr<WorkloadCache> cache;
   std::uint64_t fingerprint = 0;
   std::size_t bytes = 0;
-  std::string dir;
 };
 
 // One dispatch request, shared by the one-shot (v1) and session (v2)
@@ -639,13 +636,11 @@ bool serve_dispatch_request(const dist::DispatchRequest& request_in,
   SweepResult result;
   if (session) {
     if (!session->cache || session->fingerprint != plan.fingerprint ||
-        session->bytes != spec.cache_bytes ||
-        session->dir != spec.cache_dir) {
-      session->cache = std::make_unique<WorkloadCache>(
-          spec.cache_bytes, spec.cache_dir, /*retain=*/true);
+        session->bytes != spec.cache_bytes) {
+      session->cache =
+          std::make_unique<WorkloadCache>(spec.cache_bytes, /*retain=*/true);
       session->fingerprint = plan.fingerprint;
       session->bytes = spec.cache_bytes;
-      session->dir = spec.cache_dir;
     }
     ThreadPoolExecutor executor(session->cache.get());
     result = executor.execute(plan);
@@ -663,7 +658,6 @@ bool serve_dispatch_request(const dist::DispatchRequest& request_in,
     const std::vector<std::pair<std::string, std::uint64_t>> stats = {
         {"cache_hits", result.cache.hits},
         {"cache_misses", result.cache.misses},
-        {"disk_hits", result.cache.disk_hits},
         {"replayed", result.replayed_runs},
     };
     dist::write_session_artifact_frame(std::cout, request.shard,

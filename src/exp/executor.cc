@@ -5,18 +5,14 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "exp/workload_cache.h"
 #include "metrics/fairness.h"
 #include "metrics/utility.h"
 #include "strategy/game.h"
-#include "util/json.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
-#include "workload/swf.h"
 #include "workload/synthetic.h"
 
 namespace fairsched::exp {
@@ -55,103 +51,6 @@ std::size_t prefix_bytes(const SweepPrefix& prefix) {
          prefix.shared_records.size() * sizeof(RunRecord);
 }
 
-// --- Disk tier payload codecs ----------------------------------------------
-// Line-oriented exact text. The expensive results (baseline run, shared
-// policy records) are persisted; the instance is NOT — it is rebuilt from
-// the seed at decode time (cheap next to the exponential REF baseline),
-// which keeps the payload small and the decode independent of Instance's
-// in-memory layout.
-
-std::string encode_window_payload(const SwfTrace& window) {
-  std::ostringstream out;
-  write_swf(out, window);
-  return out.str();
-}
-
-SwfTrace decode_window_payload(const std::string& payload) {
-  std::istringstream in(payload);
-  return parse_swf(in);
-}
-
-std::string encode_prefix_payload(const SweepPrefix& prefix) {
-  std::ostringstream out;
-  out << "baseline " << prefix.baseline_utilities2.size() << ' '
-      << prefix.baseline_work_done << '\n';
-  for (std::size_t i = 0; i < prefix.baseline_utilities2.size(); ++i) {
-    out << (i ? " " : "") << prefix.baseline_utilities2[i];
-  }
-  out << '\n';
-  out << "records " << prefix.shared_records.size() << '\n';
-  for (const RunRecord& r : prefix.shared_records) {
-    out << json_exact_double(r.unfairness) << ' '
-        << json_exact_double(r.rel_distance) << ' '
-        << json_exact_double(r.utilization) << ' ' << r.work_done << '\n';
-  }
-  return out.str();
-}
-
-// Fills the baseline/record fields of `prefix` from a payload written by
-// encode_prefix_payload. Throws on any shape mismatch (the cache then
-// recomputes). Record indices are the decoder's to assign.
-void decode_prefix_payload(const std::string& payload, SweepPrefix& prefix) {
-  std::istringstream in(payload);
-  std::string tag;
-  std::size_t utilities = 0, records = 0;
-  if (!(in >> tag >> utilities >> prefix.baseline_work_done) ||
-      tag != "baseline") {
-    throw std::invalid_argument("bad prefix payload: baseline header");
-  }
-  prefix.baseline_utilities2.resize(utilities);
-  for (std::size_t i = 0; i < utilities; ++i) {
-    if (!(in >> prefix.baseline_utilities2[i])) {
-      throw std::invalid_argument("bad prefix payload: utilities");
-    }
-  }
-  if (!(in >> tag >> records) || tag != "records") {
-    throw std::invalid_argument("bad prefix payload: records header");
-  }
-  prefix.shared_records.resize(records);
-  for (RunRecord& r : prefix.shared_records) {
-    if (!(in >> r.unfairness >> r.rel_distance >> r.utilization >>
-          r.work_done)) {
-      throw std::invalid_argument("bad prefix payload: record row");
-    }
-  }
-}
-
-std::string window_content_key(const SyntheticSpec& s, Time horizon,
-                               std::uint64_t seed) {
-  // Window generation depends on the synthetic shape, horizon and seed
-  // only — deliberately NOT on orgs/split/zipf-s, so consortium-reshaping
-  // sweeps (e.g. Fig. 10's orgs axis) share one persisted window.
-  return "window:" + synthetic_content_key(s) +
-         ":horizon=" + std::to_string(horizon) +
-         ":seed=" + std::to_string(seed);
-}
-
-std::string prefix_content_key(const SweepPlan& plan, std::size_t group,
-                               const SweepWorkload& workload, Time horizon,
-                               std::uint64_t seed) {
-  // Everything the prefix value is a function of: the exact instance
-  // identity (workload parameters + horizon + seed), the baseline spec,
-  // and the ordered specs of the shared policy runs it embeds.
-  std::string key =
-      "prefix:" + workload_content_key(workload, horizon, seed) +
-      ":base=" +
-      (plan.has_baseline ? plan.registry->content_key(plan.baseline)
-                         : std::string("none"));
-  const std::size_t rep = plan.group_rep[group];
-  key += ":shared=";
-  for (std::size_t p = 0; p < plan.num_policies; ++p) {
-    if (plan.shared_slot[group * plan.num_policies + p] == SweepPlan::kNoSlot)
-      continue;
-    key += plan.registry->content_key(
-               plan.bound_algorithms[rep * plan.num_policies + p]) +
-           ";";
-  }
-  return key;
-}
-
 }  // namespace
 
 SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
@@ -168,7 +67,7 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
   // across requests; everyone else gets a per-run cache. With an external
   // cache the stats reported below are this call's delta, so artifacts
   // stay comparable whichever mode produced them.
-  WorkloadCache local_cache(spec.cache_bytes, spec.cache_dir);
+  WorkloadCache local_cache(spec.cache_bytes);
   WorkloadCache& cache = external_cache_ ? *external_cache_ : local_cache;
   const CacheStats cache_before = cache.stats();
 
@@ -324,42 +223,23 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
         return record;
       };
 
-      // Instance construction, shared by the prefix compute and the
-      // disk-tier decode. Synthetic generation routes through the shared-
-      // window sub-cache when a second prefix family will ask for the
-      // window in this shard (families differing in consortium shape but
-      // not horizon), or when the disk tier can persist it for other
-      // processes.
+      // Instance construction. Synthetic generation routes through the
+      // shared-window sub-cache when a second prefix family will ask for
+      // the window in this shard (families differing in consortium shape
+      // but not horizon).
       auto make_instance = [&]() -> Instance {
         const std::size_t planned_uses = plan.window_uses.at({w, horizon});
         if (workload.kind == SweepWorkload::Kind::kSynthetic &&
-            cache.enabled() &&
-            (planned_uses > 1 || cache.disk_enabled())) {
+            cache.enabled() && planned_uses > 1) {
           const std::string window_key = "w|" + std::to_string(w) + "|" +
                                          std::to_string(i) + "|" +
                                          std::to_string(horizon);
-          WorkloadCache::DiskCodec codec;
-          codec.content_key = window_content_key(workload.spec, horizon,
-                                                 seed);
-          codec.encode = [](const std::shared_ptr<const void>& value) {
-            return encode_window_payload(
-                *std::static_pointer_cast<const SwfTrace>(value));
-          };
-          codec.decode = [](const std::string& payload) {
-            auto trace = std::make_shared<const SwfTrace>(
-                decode_window_payload(payload));
-            return WorkloadCache::Computed{trace, window_bytes(*trace)};
-          };
           const auto window = std::static_pointer_cast<const SwfTrace>(
-              cache.get_or_compute(
-                  window_key, planned_uses,
-                  [&]() {
-                    auto trace = std::make_shared<const SwfTrace>(
-                        generate_window(workload.spec, horizon, seed));
-                    return WorkloadCache::Computed{trace,
-                                                   window_bytes(*trace)};
-                  },
-                  nullptr, &codec));
+              cache.get_or_compute(window_key, planned_uses, [&]() {
+                auto trace = std::make_shared<const SwfTrace>(
+                    generate_window(workload.spec, horizon, seed));
+                return WorkloadCache::Computed{trace, window_bytes(*trace)};
+              }));
           return assign_synthetic_window(workload.spec, *window,
                                          workload.orgs, workload.split,
                                          workload.zipf_s, seed);
@@ -390,56 +270,13 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
         return {entry, prefix_bytes(*entry)};
       };
 
-      // Disk-tier codec for the whole prefix: the persisted payload holds
-      // the baseline outcome and shared record metrics; the instance is
-      // rebuilt from the seed at decode (cheap next to REF).
-      WorkloadCache::DiskCodec prefix_codec;
-      prefix_codec.content_key =
-          prefix_content_key(plan, g, workload, horizon, seed);
-      prefix_codec.encode = [](const std::shared_ptr<const void>& value) {
-        return encode_prefix_payload(
-            *std::static_pointer_cast<const SweepPrefix>(value));
-      };
-      prefix_codec.decode =
-          [&](const std::string& payload) -> WorkloadCache::Computed {
-        auto entry = std::make_shared<SweepPrefix>();
-        decode_prefix_payload(payload, *entry);
-        entry->instance = make_instance();
-        if (plan.has_baseline &&
-            entry->baseline_utilities2.size() !=
-                entry->instance.num_orgs()) {
-          throw std::invalid_argument("prefix payload shape mismatch");
-        }
-        std::size_t slot = 0;
-        for (std::size_t p = 0; p < num_policies; ++p) {
-          if (plan.shared_slot[g * num_policies + p] == SweepPlan::kNoSlot) {
-            continue;
-          }
-          if (slot >= entry->shared_records.size()) {
-            throw std::invalid_argument("prefix payload shape mismatch");
-          }
-          RunRecord& record = entry->shared_records[slot++];
-          record.axis_point = a;
-          record.workload = w;
-          record.policy = p;
-          record.instance = i;
-          record.seed = seed;
-          record.wall_ms = 0.0;  // nothing was simulated here
-        }
-        if (slot != entry->shared_records.size()) {
-          throw std::invalid_argument("prefix payload shape mismatch");
-        }
-        return {entry, prefix_bytes(*entry)};
-      };
-
       bool computed_here = true;
       const std::string prefix_key = "p|" + std::to_string(g) + "|" +
                                      std::to_string(w) + "|" +
                                      std::to_string(i);
       const auto prefix = std::static_pointer_cast<const SweepPrefix>(
           cache.get_or_compute(prefix_key, plan.group_size[g],
-                               compute_prefix, &computed_here,
-                               &prefix_codec));
+                               compute_prefix, &computed_here));
 
       TaskOutput out;
       out.records.resize(num_policies);
@@ -486,9 +323,6 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
     result.cache.hits -= cache_before.hits;
     result.cache.misses -= cache_before.misses;
     result.cache.evictions -= cache_before.evictions;
-    result.cache.disk_hits -= cache_before.disk_hits;
-    result.cache.disk_misses -= cache_before.disk_misses;
-    result.cache.disk_writes -= cache_before.disk_writes;
   }
   result.elapsed_ms = elapsed_ms(run_started);
   return result;

@@ -7,8 +7,7 @@
 // and folds records through a bounded reorder window in the fixed
 // deterministic order (axis point, workload, instance, policy), so output
 // is bit-identical whatever the thread count. Policy-independent prefixes
-// flow through the WorkloadCache, including its optional disk tier
-// (spec.cache_dir).
+// flow through the WorkloadCache.
 //
 // It is the only executor. Work that leaves the process goes through the
 // distributed dispatcher instead (dist/dispatcher.h): `dispatch` and

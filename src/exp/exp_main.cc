@@ -65,7 +65,6 @@
 //   --smoke   tiny instance counts for CI; emits BENCH_<sweep>.json
 //   --cache-mb=N --no-cache   workload/baseline cache budget (default 256
 //                             MB); output is bit-identical either way
-//   --cache-dir=DIR  disk cache tier shared across processes/invocations
 //
 // Sharded execution (docs/ARCHITECTURE.md, docs/EXPERIMENTS.md):
 //   --shard=i/N       execute only shard i of the plan's N-way partition
@@ -111,7 +110,7 @@ int usage(const char* argv0) {
       "common flags: --instances=N --duration=T --orgs=K --seed=S "
       "--scale=X --threads=N --split=zipf|uniform --zipf-s=S --csv=FILE|- "
       "--json=FILE|- --stream-records=FILE|- --axes=\"name=v1,v2;...\" "
-      "--smoke --cache-mb=N --no-cache --cache-dir=DIR\n"
+      "--smoke --cache-mb=N --no-cache\n"
       "sharding flags: --shard=i/N --partial-out=FILE --processes=N "
       "(merge folds --partial-out artifacts; see docs/EXPERIMENTS.md)\n"
       "dispatch flags: --sweep=NAME --workers=local*N,ssh:HOST,... "

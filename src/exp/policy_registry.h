@@ -155,10 +155,10 @@ class PolicyRegistry {
   // make(canonical_name(s)) == s for any spec make() produced.
   std::string canonical_name(const PolicySpec& spec) const;
 
-  // Canonical content string for fingerprints and the content-addressed
-  // cache tier: the entry's implementation identity plus every parameter
-  // value. Equal specs => equal keys; distinct definitions => distinct
-  // keys even when their names collide across processes.
+  // Canonical content string for the plan fingerprint: the entry's
+  // implementation identity plus every parameter value. Equal specs =>
+  // equal keys; distinct definitions => distinct keys even when their
+  // names collide across processes.
   std::string content_key(const PolicySpec& spec) const;
 
   // Sorted registered keys (base names, without parameter suffixes).

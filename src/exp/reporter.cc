@@ -138,9 +138,9 @@ void JsonReporter::report(const SweepSpec& spec, const SweepResult& result) {
   out_ << "  \"baseline_wall_ms\": " << num(result.baseline_wall_ms) << ",\n";
   out_ << "  \"total_wall_ms\": " << num(result.total_wall_ms) << ",\n";
   out_ << "  \"elapsed_ms\": " << num(result.elapsed_ms) << ",\n";
-  // `shards` and the disk_* counters are additive schema: absent before
-  // the planner/executor split, so scripts/compare_bench.py and older
-  // tooling keep working against both generations of BENCH files.
+  // `shards` is additive schema: absent before the planner/executor
+  // split, so scripts/compare_bench.py and older tooling keep working
+  // against both generations of BENCH files.
   out_ << "  \"shards\": " << result.shards << ",\n";
   out_ << "  \"cache\": {\"enabled\": "
        << (result.cache_enabled ? "true" : "false")
@@ -150,10 +150,7 @@ void JsonReporter::report(const SweepSpec& spec, const SweepResult& result) {
        << ", \"hit_rate\": " << num(result.cache.hit_rate())
        << ", \"replayed_runs\": " << result.replayed_runs
        << ", \"prefix_groups\": " << result.prefix_groups
-       << ", \"peak_bytes\": " << result.cache.peak_bytes
-       << ", \"disk_hits\": " << result.cache.disk_hits
-       << ", \"disk_misses\": " << result.cache.disk_misses
-       << ", \"disk_writes\": " << result.cache.disk_writes << "},\n";
+       << ", \"peak_bytes\": " << result.cache.peak_bytes << "},\n";
   out_ << "  \"cells\": [\n";
   bool first = true;
   for (std::size_t a = 0; a < result.axis_points; ++a) {

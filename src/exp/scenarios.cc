@@ -140,13 +140,12 @@ void apply_axes_override(SweepSpec& spec, const ScenarioOptions& options) {
 }
 
 // The execution knobs every scenario forwards verbatim: seeding, thread
-// count, and the workload/baseline cache budget and disk tier.
+// count, and the workload/baseline cache budget.
 void apply_execution_options(SweepSpec& spec,
                              const ScenarioOptions& options) {
   spec.seed = options.seed;
   spec.threads = options.threads;
   spec.cache_bytes = options.cache_bytes();
-  spec.cache_dir = options.cache_dir;
 }
 
 // One grep-friendly cache-stats line. `label` distinguishes the per-shard
@@ -158,22 +157,12 @@ void print_cache_stats_line(const CacheStats& cache,
   std::fprintf(
       human,
       "cache-stats%s: hits=%llu misses=%llu evictions=%llu hit-rate=%.3f "
-      "replayed-runs=%llu prefix-groups=%zu peak-bytes=%zu",
+      "replayed-runs=%llu prefix-groups=%zu peak-bytes=%zu\n",
       label.c_str(), static_cast<unsigned long long>(cache.hits),
       static_cast<unsigned long long>(cache.misses),
       static_cast<unsigned long long>(cache.evictions), cache.hit_rate(),
       static_cast<unsigned long long>(replayed_runs), prefix_groups,
       cache.peak_bytes);
-  // Disk-tier counters only when the tier saw traffic, so the line stays
-  // unchanged (and CI greps stay valid) for memory-only runs.
-  if (cache.disk_hits + cache.disk_misses + cache.disk_writes > 0) {
-    std::fprintf(human,
-                 " disk-hits=%llu disk-misses=%llu disk-writes=%llu",
-                 static_cast<unsigned long long>(cache.disk_hits),
-                 static_cast<unsigned long long>(cache.disk_misses),
-                 static_cast<unsigned long long>(cache.disk_writes));
-  }
-  std::fprintf(human, "\n");
 }
 
 // The workload/baseline-cache accounting printed after a sweep's summary
@@ -312,7 +301,6 @@ ScenarioOptions scenario_options_from_flags(const Flags& flags) {
   }
   options.cache_mb = static_cast<std::size_t>(cache_mb);
   options.no_cache = flags.get_bool("no-cache", false);
-  options.cache_dir = flags.get_string("cache-dir", "");
   options.shard = flags.get_string("shard", "");
   // Validate the spec now so a malformed --shard fails before any
   // compute, with parse_shard_spec's message.

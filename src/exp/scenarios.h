@@ -37,11 +37,6 @@ struct ScenarioOptions {
   std::size_t cache_bytes() const {
     return no_cache ? 0 : cache_mb * (std::size_t{1} << 20);
   }
-  // Disk-backed cache tier (--cache-dir): persists generated windows and
-  // baseline runs across processes, so repeated invocations and the
-  // shards of a multi-process sweep share them. Empty = off; requires the
-  // in-memory cache (--no-cache disables both).
-  std::string cache_dir;
 
   // Planner/executor split (docs/ARCHITECTURE.md). --shard=i/N executes
   // only shard i of the plan's N-way partition (by prefix family, so
@@ -147,8 +142,8 @@ struct ScenarioOptions {
 // Parses the harness-wide flags (--instances, --duration, --orgs, --seed,
 // --scale, --threads, --split, --zipf-s, --smoke, --csv, --json,
 // --stream-records, --axes, --config, --policies, --workload, --min-orgs,
-// --max-orgs, --jobs-per-org, --cache-mb, --no-cache, --cache-dir,
-// --shard, --partial-out, --processes).
+// --max-orgs, --jobs-per-org, --cache-mb, --no-cache, --shard,
+// --partial-out, --processes).
 ScenarioOptions scenario_options_from_flags(const Flags& flags);
 
 // The workload kinds the `custom` subcommand / sweep configs accept, with

@@ -84,12 +84,13 @@ SourceHandle open_source(const ScenarioOptions& options) {
 }
 
 // Resolves --policy (after --config registered any config-defined
-// entries) and rejects the shapes serve mode cannot drive: whole-schedule
-// algorithms (REF/RAND) re-plan globally instead of deciding per event,
-// and kRandomFree entries (DIRECTCONTR) need the random machine pick while
-// ServeSession always builds a kFirstFree engine.
+// entries) and rejects the shape serve mode cannot drive: whole-schedule
+// algorithms (REF/RAND) re-plan globally instead of deciding per event.
+// `engine` receives the entry's EngineOptions seeded with --seed, as a
+// batch PolicyAlgorithm run would build them, for both serve and replay.
 std::unique_ptr<Policy> make_serve_policy(const ScenarioOptions& options,
-                                          std::string* canonical) {
+                                          std::string* canonical,
+                                          EngineOptions* engine) {
   if (!options.config_path.empty()) {
     load_sweep_config_file(options.config_path, options);  // registers
   }
@@ -102,12 +103,8 @@ std::unique_ptr<Policy> make_serve_policy(const ScenarioOptions& options,
         "' builds whole schedules (REF/RAND); serve mode drives "
         "policy-shaped entries only");
   }
-  if (definition->engine_options.machine_pick != MachinePick::kFirstFree) {
-    throw std::invalid_argument(
-        "policy '" + options.policy +
-        "' needs the random-free machine pick; serve sessions run a "
-        "first-free engine");
-  }
+  *engine = definition->engine_options;
+  engine->seed = options.seed;
   *canonical = registry.canonical_name(spec);
   return registry.make_policy(spec, options.seed);
 }
@@ -157,12 +154,13 @@ int write_report(const ScenarioOptions& options, const ServeReport& report,
 
 int run_serve_scenario(const ScenarioOptions& options) {
   std::string canonical;
-  std::unique_ptr<Policy> policy = make_serve_policy(options, &canonical);
+  ServeOptions serve_options;
+  std::unique_ptr<Policy> policy =
+      make_serve_policy(options, &canonical, &serve_options.engine);
   SourceHandle source = open_source(options);
   SinkHandle decisions = open_sink(options.decisions_path, "decision");
   SinkHandle record = open_sink(options.record_trace_path, "trace");
 
-  ServeOptions serve_options;
   serve_options.horizon = options.duration;
   serve_options.stats_interval = options.stats_interval;
   serve_options.stats = &std::cerr;  // decision/report streams own stdout
@@ -186,7 +184,9 @@ int run_serve_scenario(const ScenarioOptions& options) {
 
 int run_replay_scenario(const ScenarioOptions& options) {
   std::string canonical;
-  std::unique_ptr<Policy> policy = make_serve_policy(options, &canonical);
+  EngineOptions engine;
+  std::unique_ptr<Policy> policy =
+      make_serve_policy(options, &canonical, &engine);
   SourceHandle source = open_source(options);
   const Instance inst = serve::materialize_trace(*source.source);
 
@@ -197,7 +197,8 @@ int run_replay_scenario(const ScenarioOptions& options) {
   SinkHandle decisions = open_sink(decisions_path, "decision");
 
   const std::uint64_t count =
-      serve::replay_batch(inst, *policy, options.duration, decisions.stream);
+      serve::replay_batch(inst, *policy, options.duration, decisions.stream,
+                          engine);
   std::fprintf(stderr, "replayed %llu decisions over %u orgs, %zu jobs\n",
                static_cast<unsigned long long>(count), inst.num_orgs(),
                inst.num_jobs());

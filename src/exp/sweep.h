@@ -205,11 +205,6 @@ struct SweepSpec {
   // caching entirely (--no-cache). Output is bit-identical either way —
   // the cache only skips recomputing deterministic prefixes.
   std::size_t cache_bytes = kDefaultCacheBytes;
-  // Directory of the optional disk-backed cache tier (--cache-dir); empty
-  // disables it. Persisted entries are content-keyed, so repeated and
-  // sharded invocations share generated windows and baseline runs across
-  // processes. Like the in-memory tier, it never changes output.
-  std::string cache_dir;
   // The deviation grid of a strategic-manipulation sweep
   // (strategy/deviation.h): non-empty exactly when the spec declares a
   // "strategy" axis, whose values index this vector. The planner resolves

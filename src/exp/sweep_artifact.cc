@@ -47,10 +47,7 @@ void write_cache_stats(std::ostream& out, const CacheStats& cache,
       << ", \"hits\": " << cache.hits << ", \"misses\": " << cache.misses
       << ", \"evictions\": " << cache.evictions
       << ", \"bytes_in_use\": " << cache.bytes_in_use
-      << ", \"peak_bytes\": " << cache.peak_bytes
-      << ", \"disk_hits\": " << cache.disk_hits
-      << ", \"disk_misses\": " << cache.disk_misses
-      << ", \"disk_writes\": " << cache.disk_writes << "}";
+      << ", \"peak_bytes\": " << cache.peak_bytes << "}";
 }
 
 CacheStats read_cache_stats(const JsonValue& json) {
@@ -62,9 +59,6 @@ CacheStats read_cache_stats(const JsonValue& json) {
       static_cast<std::size_t>(json.at("bytes_in_use").as_uint());
   cache.peak_bytes =
       static_cast<std::size_t>(json.at("peak_bytes").as_uint());
-  cache.disk_hits = json.at("disk_hits").as_uint();
-  cache.disk_misses = json.at("disk_misses").as_uint();
-  cache.disk_writes = json.at("disk_writes").as_uint();
   return cache;
 }
 

@@ -176,15 +176,12 @@ void write_spec_summary_json(std::ostream& out, const SweepSpec& spec,
                              const std::string& indent);
 SweepSpec spec_from_summary_json(const JsonValue& summary);
 
-// Canonical content strings for the disk cache tier (exp/workload_cache.h):
-// two invocations (or two shards) wanting the same deterministic value
-// derive the same key, whatever their in-plan indices are.
-// synthetic_content_key covers every SyntheticSpec generation parameter
-// and is the single serializer shared by the workload (prefix) and window
-// keys — if the two drifted apart, a new generator field captured by one
-// but not the other would let distinct content collide on one key, which
-// the disk tier's full-key validation could then no longer catch.
-// Policy content keys come from PolicyRegistry::content_key, so a
+// Canonical content strings hashed into the plan fingerprint: two plans
+// that would compute the same deterministic values derive the same
+// strings, whatever their in-plan indices are. synthetic_content_key
+// covers every SyntheticSpec generation parameter, so a new generator
+// field moves the fingerprint instead of letting distinct workloads pass
+// as one. Policy content keys come from PolicyRegistry::content_key, so a
 // config-defined policy's key embeds its whole definition.
 std::string synthetic_content_key(const SyntheticSpec& spec);
 std::string workload_content_key(const SweepWorkload& workload, Time horizon,

@@ -1,28 +1,8 @@
 #include "exp/workload_cache.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <utility>
-
-#include "util/rng.h"
 
 namespace fairsched::exp {
-
-namespace {
-
-// Disk file header: magic + format version on the first line, the full
-// content key on the second. Bump the version whenever a payload encoding
-// changes — old files then validate as stale and are recomputed, never
-// misdecoded.
-constexpr const char* kDiskMagic = "fairsched-cache 1";
-
-}  // namespace
 
 double CacheStats::hit_rate() const {
   const std::uint64_t lookups = hits + misses;
@@ -37,106 +17,10 @@ void CacheStats::accumulate(const CacheStats& other) {
   evictions += other.evictions;
   bytes_in_use += other.bytes_in_use;
   peak_bytes += other.peak_bytes;
-  disk_hits += other.disk_hits;
-  disk_misses += other.disk_misses;
-  disk_writes += other.disk_writes;
 }
 
-WorkloadCache::WorkloadCache(std::size_t max_bytes, std::string disk_dir,
-                             bool retain)
-    : max_bytes_(max_bytes), disk_dir_(std::move(disk_dir)),
-      retain_(retain) {
-  if (disk_enabled()) {
-    // Create the tier's directory eagerly so a bad --cache-dir (e.g. a
-    // path through a file) fails the run up front, not on the first store.
-    std::filesystem::create_directories(disk_dir_);
-  }
-}
-
-std::string WorkloadCache::disk_file_name(const std::string& content_key) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "fs-%016llx.cache",
-                static_cast<unsigned long long>(hash_fnv1a64(content_key)));
-  return buf;
-}
-
-bool WorkloadCache::disk_load(const DiskCodec& codec, Computed* out) {
-  const std::filesystem::path path =
-      std::filesystem::path(disk_dir_) / disk_file_name(codec.content_key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string magic, key;
-  if (!std::getline(in, magic) || magic != kDiskMagic) return false;
-  if (!std::getline(in, key) || key != codec.content_key) {
-    // A hash collision or a stale key layout: leave the file to its owner
-    // and recompute.
-    return false;
-  }
-  std::ostringstream payload;
-  payload << in.rdbuf();
-  if (!in.good() && !in.eof()) return false;
-  try {
-    *out = codec.decode(payload.str());
-  } catch (...) {
-    // Damaged payload (truncated write from a crashed process, manual
-    // edit): degrade to a recompute.
-    return false;
-  }
-  return out->value != nullptr;
-}
-
-void WorkloadCache::disk_store(const DiskCodec& codec,
-                               const Computed& computed) {
-  const std::filesystem::path path =
-      std::filesystem::path(disk_dir_) / disk_file_name(codec.content_key);
-  // Unique temporary per writer (pid + sequence), then an atomic rename:
-  // a reader never observes a partially written file, and racing writers
-  // (other shards computing the same prefix) overwrite each other with
-  // identical bytes.
-  static std::atomic<std::uint64_t> tmp_seq{0};
-  std::error_code ec;
-  const std::filesystem::path tmp =
-      path.string() + ".tmp." + std::to_string(::getpid()) + "." +
-      std::to_string(tmp_seq.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // unwritable tier: silently skip persisting
-    out << kDiskMagic << '\n' << codec.content_key << '\n';
-    out << codec.encode(computed.value);
-    if (!out.good()) {
-      out.close();
-      std::filesystem::remove(tmp, ec);
-      return;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) std::filesystem::remove(tmp, ec);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.disk_writes;
-}
-
-WorkloadCache::Computed WorkloadCache::produce(const ComputeFn& compute,
-                                               const DiskCodec* codec,
-                                               bool* from_disk) {
-  *from_disk = false;
-  const bool disk = codec != nullptr && disk_enabled();
-  if (disk) {
-    Computed loaded;
-    if (disk_load(*codec, &loaded)) {
-      *from_disk = true;
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.disk_hits;
-      return loaded;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.disk_misses;
-    }
-  }
-  Computed computed = compute();
-  if (disk) disk_store(*codec, computed);
-  return computed;
-}
+WorkloadCache::WorkloadCache(std::size_t max_bytes, bool retain)
+    : max_bytes_(max_bytes), retain_(retain) {}
 
 void WorkloadCache::retire_locked(
     std::map<std::string, Entry>::iterator it) {
@@ -155,7 +39,7 @@ void WorkloadCache::evict_over_budget_locked() {
 
 std::shared_ptr<const void> WorkloadCache::get_or_compute(
     const std::string& key, std::size_t uses, const ComputeFn& compute,
-    bool* computed_here, const DiskCodec* codec) {
+    bool* computed_here) {
   if (computed_here) *computed_here = true;
   if (!enabled()) return compute().value;
 
@@ -184,22 +68,18 @@ std::shared_ptr<const void> WorkloadCache::get_or_compute(
   }
 
   ++stats_.misses;
-  bool from_disk = false;
   if (!retain_ && uses <= 1) {
     // Nobody else will ever ask: compute without storing (or latching —
-    // distinct single-use keys cannot collide). The disk tier still
-    // applies: a future *process* may ask even when this plan will not.
+    // distinct single-use keys cannot collide).
     lock.unlock();
-    const Computed computed = produce(compute, codec, &from_disk);
-    if (from_disk && computed_here) *computed_here = false;
-    return computed.value;
+    return compute().value;
   }
   entries_[key] = Entry{};  // pending: ready == false latches waiters
   lock.unlock();
 
   Computed computed;
   try {
-    computed = produce(compute, codec, &from_disk);
+    computed = compute();
   } catch (...) {
     lock.lock();
     entries_.erase(key);
@@ -207,7 +87,6 @@ std::shared_ptr<const void> WorkloadCache::get_or_compute(
     ready_cv_.notify_all();
     throw;
   }
-  if (from_disk && computed_here) *computed_here = false;
 
   lock.lock();
   if (!retain_ && ++consumed_[key] >= uses) {

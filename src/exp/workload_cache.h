@@ -19,22 +19,6 @@
 //   * an entry evicted under budget pressure is simply recomputed on the
 //     next lookup — results are deterministic functions of the key, so
 //     eviction can cost time but never changes output.
-//
-// Disk tier (--cache-dir): an optional second tier that persists values
-// across processes, so repeated CLI invocations and the shards of a
-// multi-process sweep (exp/executor.h) share generated windows and REF
-// baseline runs. In-memory keys are plan-positional ("p|group|w|i"); disk
-// files are *content*-keyed — the caller supplies a canonical string
-// naming everything the value is a deterministic function of (workload
-// parameters, horizon, seed, policy specs; exp/sweep_plan.h) plus encode/
-// decode callbacks, since entries are type-erased. Files are written to a
-// temporary name and atomically renamed into place, so concurrent writers
-// race benignly (last writer wins, readers never see a torn file), and
-// each file stores a format-version header and its full content key,
-// which the reader validates before decoding (hash collisions and stale
-// formats degrade to a recompute, never to wrong data). Like the memory
-// tier, the disk tier is a pure time optimization: a corrupt, missing or
-// mismatched file only costs a recompute.
 
 #include <condition_variable>
 #include <cstddef>
@@ -51,18 +35,13 @@ namespace fairsched::exp {
 // Counters reported in sweep summaries and BENCH_*.json. Hits, misses and
 // evictions are deterministic for a fixed sweep plan as long as the budget
 // never forces an eviction; under pressure the exact counts may vary with
-// scheduling, but the sweep output never does. disk_hits counts values
-// decoded from --cache-dir instead of recomputed; disk_writes counts files
-// persisted for future invocations.
+// scheduling, but the sweep output never does.
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  // == number of computes the cache ran
   std::uint64_t evictions = 0;
   std::size_t bytes_in_use = 0;
   std::size_t peak_bytes = 0;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;  // disk lookups that fell through
-  std::uint64_t disk_writes = 0;
 
   // hits / (hits + misses); 0.0 before the first lookup.
   double hit_rate() const;
@@ -83,36 +62,21 @@ class WorkloadCache {
   };
   using ComputeFn = std::function<Computed()>;
 
-  // Serialization hooks for the disk tier. `content_key` is the canonical
-  // content identity (stored verbatim in the file and compared on read);
-  // `encode` flattens a value to the payload bytes; `decode` rebuilds a
-  // value from them and may throw to reject a damaged payload (the cache
-  // then recomputes). Lookups pass nullptr to keep an entry memory-only.
-  struct DiskCodec {
-    std::string content_key;
-    std::function<std::string(const std::shared_ptr<const void>&)> encode;
-    std::function<Computed(const std::string& payload)> decode;
-  };
-
   // max_bytes == 0 disables the cache: get_or_compute degenerates to calling
   // `compute` inline — no locking, no stats. This is the --no-cache path,
-  // kept inside the class so the driver has a single code path. `disk_dir`
-  // non-empty enables the disk tier (the directory is created on demand);
-  // it requires the memory tier, so --no-cache disables both.
+  // kept inside the class so SweepDriver has a single code path.
   //
   // `retain` keeps entries past their planned use count (and stores even
   // single-use values): the session-worker mode (exp/executor.h), where
   // one cache outlives many plan executions and a re-served shard must
   // find its prefixes still warm. Entries then leave only through LRU
   // eviction under the byte budget.
-  explicit WorkloadCache(std::size_t max_bytes, std::string disk_dir = "",
-                         bool retain = false);
+  explicit WorkloadCache(std::size_t max_bytes, bool retain = false);
 
   WorkloadCache(const WorkloadCache&) = delete;
   WorkloadCache& operator=(const WorkloadCache&) = delete;
 
   bool enabled() const { return max_bytes_ > 0; }
-  bool disk_enabled() const { return enabled() && !disk_dir_.empty(); }
   std::size_t max_bytes() const { return max_bytes_; }
 
   // Returns the value for `key`, computing it via `compute` on first touch.
@@ -120,25 +84,16 @@ class WorkloadCache {
   // will make for this key; the entry retires once consumed that often.
   // uses <= 1 short-circuits to an unstored compute (a miss). When
   // `computed_here` is non-null it is set to whether THIS call paid for a
-  // fresh compute (true) or reused a result — another task's, or one
-  // decoded from the disk tier (false either way: the reuser did not pay
-  // the simulation cost). When `codec` is non-null and the disk tier is
-  // enabled, a memory miss first consults the content-keyed file, and a
-  // fresh compute is persisted for future processes.
+  // fresh compute (true) or reused another task's result (false: the
+  // reuser did not pay the simulation cost).
   // If `compute` throws, the pending entry is removed, waiters restart, and
   // the exception propagates to this caller.
   std::shared_ptr<const void> get_or_compute(const std::string& key,
                                              std::size_t uses,
                                              const ComputeFn& compute,
-                                             bool* computed_here = nullptr,
-                                             const DiskCodec* codec =
-                                                 nullptr);
+                                             bool* computed_here = nullptr);
 
   CacheStats stats() const;
-
-  // The file a content key persists to under `dir` (exposed for tests and
-  // debugging): fs-<fnv1a64(content_key) in hex>.cache.
-  static std::string disk_file_name(const std::string& content_key);
 
  private:
   struct Entry {
@@ -153,15 +108,7 @@ class WorkloadCache {
   void retire_locked(std::map<std::string, Entry>::iterator it);
   void evict_over_budget_locked();
 
-  // The compute path of a miss, run outside the lock: disk load if
-  // possible, else compute + disk store. Sets *from_disk accordingly.
-  Computed produce(const ComputeFn& compute, const DiskCodec* codec,
-                   bool* from_disk);
-  bool disk_load(const DiskCodec& codec, Computed* out);
-  void disk_store(const DiskCodec& codec, const Computed& computed);
-
   const std::size_t max_bytes_;
-  const std::string disk_dir_;
   const bool retain_;
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;

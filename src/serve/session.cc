@@ -102,8 +102,7 @@ ServeSession::ServeSession(const std::vector<std::uint32_t>& machines,
     throw std::invalid_argument("ServeSession: no policy");
   }
   if (!options_.clock_ns) options_.clock_ns = steady_now_ns;
-  EngineOptions engine_options;
-  engine_options.machine_pick = MachinePick::kFirstFree;
+  EngineOptions engine_options = options_.engine;
   engine_options.external_releases = true;
   engine_ = std::make_unique<Engine>(live_.instance(), engine_options);
   listener_ =
@@ -210,9 +209,10 @@ void ServeSession::run(EventSource& source) {
 }
 
 std::uint64_t replay_batch(const Instance& inst, Policy& policy,
-                           Time horizon, std::ostream* decisions) {
+                           Time horizon, std::ostream* decisions,
+                           const EngineOptions& engine_options) {
   if (horizon <= 0) horizon = inst.last_release() + inst.total_work() + 1;
-  Engine engine(inst);
+  Engine engine(inst, engine_options);
   // Record through the policy slot Engine::run drives: on_start fires
   // immediately after each decision is applied, in decision order, with
   // view.now() equal to the decision time — the same emission point the

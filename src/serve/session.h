@@ -73,6 +73,10 @@ struct ServeOptions {
   // Nanosecond clock for latency/throughput measurement; default
   // steady_clock. Tests inject a deterministic fake.
   std::function<std::uint64_t()> clock_ns;
+  // The engine the policy runs on: its registry entry's EngineOptions,
+  // seeded with the run's seed (DIRECTCONTR's random machine pick). The
+  // session adds external_releases itself.
+  EngineOptions engine;
 };
 
 struct ServeReport {
@@ -128,9 +132,12 @@ class ServeSession {
 // materialized instance through Engine::run and writes the decision stream
 // (if `decisions` is non-null) in the same line format. `horizon` <= 0
 // picks the drain bound last_release + total_work + 1, past every possible
-// decision. Returns the number of decisions.
+// decision. `engine_options` must match the serve run's
+// ServeOptions::engine for the streams to compare. Returns the number of
+// decisions.
 std::uint64_t replay_batch(const Instance& inst, Policy& policy,
-                           Time horizon, std::ostream* decisions);
+                           Time horizon, std::ostream* decisions,
+                           const EngineOptions& engine_options = {});
 
 // Builds the Instance a trace denotes (same platform, all jobs), for
 // replay_batch. Consumes the source.

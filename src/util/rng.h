@@ -26,9 +26,8 @@ std::uint64_t splitmix64(std::uint64_t& state);
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b);
 
 // FNV-1a over a byte string: a stable, platform-independent 64-bit hash
-// for content-addressed keys (the sweep plan fingerprint and the disk
-// cache tier's file names). Not cryptographic — collisions are guarded by
-// storing and comparing the full key, never by the hash alone.
+// for content-addressed keys (the sweep plan fingerprint and the dispatch
+// dry-run's shard fingerprints). Not cryptographic.
 std::uint64_t hash_fnv1a64(const std::string& text);
 
 // xoshiro256** generator. Satisfies UniformRandomBitGenerator so it can also

@@ -810,6 +810,40 @@ TEST(ShardedSweep, ArtifactTextRejectsTampering) {
   }
 }
 
+// Artifacts from older binaries carry disk_hits/disk_misses/disk_writes in
+// their `cache` object. They must still parse and merge, so `merge` over
+// old files and dispatch to an older worker keep working.
+TEST(ShardedSweep, ParsesAndMergesArtifactsWithDiskCounters) {
+  const SweepSpec spec = sharded_sweep(1);
+  const std::string whole_csv =
+      aggregate_csv(spec, SweepDriver().run(spec));
+  std::vector<ShardArtifact> artifacts;
+  for (std::size_t s = 0; s < 2; ++s) {
+    const SweepPlan plan =
+        build_sweep_plan(spec, PolicyRegistry::global(), {s, 2});
+    ThreadPoolExecutor executor;
+    const SweepResult result = executor.execute(plan);
+    std::ostringstream artifact;
+    write_shard_artifact(artifact, plan, result);
+    std::string text = artifact.str();
+    const std::string peak =
+        "\"peak_bytes\": " + std::to_string(result.cache.peak_bytes) + "}";
+    const std::size_t at = text.find(peak);
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at + peak.size() - 1,
+                ", \"disk_hits\": 3, \"disk_misses\": 4, "
+                "\"disk_writes\": 5");
+    const ShardArtifact parsed =
+        parse_shard_artifact(text, "parent-" + std::to_string(s));
+    EXPECT_EQ(parsed.result.cache.hits, result.cache.hits);
+    EXPECT_EQ(parsed.result.cache.misses, result.cache.misses);
+    EXPECT_EQ(parsed.result.cache.peak_bytes, result.cache.peak_bytes);
+    artifacts.push_back(parsed);
+  }
+  const MergedSweep merged = merge_shard_artifacts(std::move(artifacts));
+  EXPECT_EQ(aggregate_csv(merged.spec, merged.result), whole_csv);
+}
+
 // --- Strategy sweeps through the whole engine -------------------------------
 
 // A compact strategy sweep through the real scenario factory: 2 policies,
@@ -960,107 +994,6 @@ TEST(StrategySweep, ValidationCatchesBadStrategySpecs) {
   bad = strategy_sweep(1);
   bad.axes[0].values = {0, 7};
   EXPECT_THROW(SweepDriver().run(bad), std::invalid_argument);
-}
-
-// --- Disk cache tier through the sweep engine -------------------------------
-
-// A private scratch directory per test, cleaned before use.
-std::filesystem::path disk_tier_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) / ("fairsched_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-TEST(DiskCacheSweep, SecondInvocationReplaysPersistedPrefixes) {
-  const std::filesystem::path dir = disk_tier_dir("disk_prefix");
-  SweepSpec spec = decay_sweep(2, kDefaultCacheBytes);
-  spec.cache_dir = dir.string();
-
-  const auto [reference, records_reference] =
-      run_collecting(decay_sweep(2, 0));  // uncached ground truth
-
-  const auto [cold, records_cold] = run_collecting(spec);
-  EXPECT_GT(cold.cache.disk_writes, 0u);
-  EXPECT_EQ(cold.cache.disk_hits, 0u);
-  expect_same_records(records_reference, records_cold);
-
-  // A fresh driver run = a fresh process as far as the cache is
-  // concerned: everything expensive comes back from disk.
-  const auto [warm, records_warm] = run_collecting(spec);
-  EXPECT_GT(warm.cache.disk_hits, 0u);
-  EXPECT_EQ(warm.cache.disk_misses, 0u);
-  expect_same_records(records_reference, records_warm);
-  // The baseline and shared runs were not re-simulated: all their runs
-  // replay, and no baseline wall time was paid.
-  EXPECT_GT(warm.replayed_runs, cold.replayed_runs);
-  EXPECT_EQ(warm.baseline_wall_ms, 0.0);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DiskCacheSweep, CorruptOrForeignFilesDegradeToRecompute) {
-  const std::filesystem::path dir = disk_tier_dir("disk_corrupt");
-  SweepSpec spec = decay_sweep(2, kDefaultCacheBytes);
-  spec.cache_dir = dir.string();
-  const auto [cold, records_cold] = run_collecting(spec);
-
-  // Vandalize every persisted file: truncate one, scramble the rest.
-  bool truncated = false;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!truncated) {
-      std::ofstream(entry.path(), std::ios::trunc);
-      truncated = true;
-    } else {
-      std::ofstream out(entry.path(), std::ios::trunc);
-      out << "fairsched-cache 1\nsome-other-key\ngarbage\n";
-    }
-  }
-  ASSERT_TRUE(truncated);
-
-  const auto [rerun, records_rerun] = run_collecting(spec);
-  EXPECT_EQ(rerun.cache.disk_hits, 0u);
-  EXPECT_GT(rerun.cache.disk_misses, 0u);
-  expect_same_records(records_cold, records_rerun);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DiskCacheSweep, SyntheticWindowsPersistAcrossInvocations) {
-  const std::filesystem::path dir = disk_tier_dir("disk_window");
-  // The window-sharing sweep from above, now with a disk tier: the second
-  // invocation must reload both windows and prefixes.
-  SweepSpec spec;
-  spec.name = "window-disk";
-  spec.policies = {"roundrobin", "fairshare"};
-  spec.baseline = "ref";
-  spec.seed = 7;
-  spec.threads = 2;
-  spec.horizon = 400;
-  spec.instances = 2;
-  SweepWorkload w;
-  w.name = "lpc";
-  w.kind = SweepWorkload::Kind::kSynthetic;
-  w.spec = preset_lpc_egee();
-  spec.workloads.push_back(std::move(w));
-  spec.axes.push_back(make_axis("orgs", {2, 3}));
-
-  SweepSpec uncached = spec;
-  uncached.cache_bytes = 0;
-  const auto [reference, records_reference] = run_collecting(uncached);
-
-  spec.cache_dir = dir.string();
-  const auto [cold, records_cold] = run_collecting(spec);
-  expect_same_records(records_reference, records_cold);
-  // Windows (1 per instance) and prefixes (2 groups x 2 instances).
-  EXPECT_GE(cold.cache.disk_writes, 2u + 4u);
-
-  const auto [warm, records_warm] = run_collecting(spec);
-  expect_same_records(records_reference, records_warm);
-  EXPECT_EQ(warm.cache.disk_misses, 0u);
-  EXPECT_GE(warm.cache.disk_hits, 2u + 4u);
-
-  std::filesystem::remove_all(dir);
 }
 
 // --- Reporters --------------------------------------------------------------

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -63,6 +64,16 @@ std::string spec_to_trace(const SyntheticServeSpec& spec) {
   return out.str();
 }
 
+// The engine a registry entry runs on, seeded as `serve`/`replay` seed it
+// (DIRECTCONTR's random machine pick draws from it).
+EngineOptions engine_for(const std::string& policy, std::uint64_t seed) {
+  PolicyRegistry& registry = PolicyRegistry::global();
+  EngineOptions options =
+      registry.find(registry.make(policy).base)->engine_options;
+  options.seed = seed;
+  return options;
+}
+
 struct ServeResult {
   std::string decisions;
   std::string recorded;
@@ -83,6 +94,7 @@ ServeResult run_serve(const std::string& trace, const std::string& policy,
   options.stats = &stats;
   options.decisions = &decisions;
   options.record_trace = &recorded;
+  options.engine = engine_for(policy, seed);
   ServeSession session(source.machines(),
                        PolicyRegistry::global().make_policy(policy, seed),
                        options);
@@ -98,22 +110,18 @@ std::string run_batch(const std::string& trace, const std::string& policy,
   std::ostringstream decisions;
   const std::unique_ptr<Policy> p =
       PolicyRegistry::global().make_policy(policy, seed);
-  serve::replay_batch(inst, *p, horizon, &decisions);
+  serve::replay_batch(inst, *p, horizon, &decisions,
+                      engine_for(policy, seed));
   return decisions.str();
 }
 
-// Every policy-shaped kFirstFree registry entry — the policies the serve
-// loop supports, resolved with default parameters.
+// Every policy-shaped registry entry — the policies the serve loop
+// supports, resolved with default parameters.
 std::vector<std::string> serveable_policies() {
   std::vector<std::string> result;
   PolicyRegistry& registry = PolicyRegistry::global();
   for (const std::string& name : registry.names()) {
-    const PolicyRegistry::Definition* definition = registry.find(name);
-    if (!definition->policy) continue;
-    if (definition->engine_options.machine_pick != MachinePick::kFirstFree) {
-      continue;
-    }
-    result.push_back(name);
+    if (registry.find(name)->policy) result.push_back(name);
   }
   return result;
 }
@@ -124,6 +132,8 @@ TEST(ServeReplayTest, EveryServeablePolicyReplaysByteIdentically) {
   // The in-tree roster; growing it extends this differential suite
   // automatically.
   ASSERT_GE(policies.size(), 6u);
+  EXPECT_NE(std::find(policies.begin(), policies.end(), "directcontr"),
+            policies.end());
   for (const std::string& policy : policies) {
     const ServeResult serve = run_serve(trace, policy, /*seed=*/7);
     const std::string batch = run_batch(trace, policy, /*seed=*/7);

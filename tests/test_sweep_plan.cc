@@ -145,7 +145,6 @@ TEST(SweepPlan, FingerprintTracksOutputShapingFieldsOnly) {
   SweepSpec execution_only = spec;
   execution_only.threads = 7;
   execution_only.cache_bytes = 1;
-  execution_only.cache_dir = "/tmp/somewhere";
   EXPECT_EQ(build_sweep_plan(execution_only).fingerprint, base);
 
   SweepSpec reseeded = spec;

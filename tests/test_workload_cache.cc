@@ -1,15 +1,11 @@
 // Tests for exp/workload_cache: hit/miss/eviction accounting, LRU-by-bytes
 // eviction, use-count retirement, the disabled (--no-cache) pass-through,
-// single-compute latching under concurrency, exception recovery, and the
-// content-keyed disk tier (--cache-dir): persistence across instances,
-// header/key validation, decode-failure fallback.
+// single-compute latching under concurrency, and exception recovery.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -196,212 +192,6 @@ TEST(WorkloadCache, ComputeExceptionClearsThePendingEntry) {
   };
   EXPECT_EQ(as_int(cache.get_or_compute("k", 3, fn)), 5);
   EXPECT_EQ(computes, 1);
-}
-
-// --- Disk tier --------------------------------------------------------------
-
-std::filesystem::path fresh_disk_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("fairsched_cache_" + name);
-  std::filesystem::remove_all(dir);
-  return dir;
-}
-
-// An int codec: payload is the decimal value. `decoded` counts decodes.
-WorkloadCache::DiskCodec int_codec(const std::string& content_key,
-                                   int* decoded = nullptr) {
-  WorkloadCache::DiskCodec codec;
-  codec.content_key = content_key;
-  codec.encode = [](const std::shared_ptr<const void>& value) {
-    return std::to_string(as_int(value));
-  };
-  codec.decode = [decoded](const std::string& payload) {
-    if (decoded) ++*decoded;
-    return make_value(std::stoi(payload), 10);
-  };
-  return codec;
-}
-
-TEST(WorkloadCacheDisk, PersistsAcrossCacheInstances) {
-  const std::filesystem::path dir = fresh_disk_dir("persist");
-  const WorkloadCache::DiskCodec codec = int_codec("answer|v1");
-  int computes = 0;
-  const auto fn = [&] {
-    ++computes;
-    return make_value(42, 10);
-  };
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    EXPECT_TRUE(cache.disk_enabled());
-    bool computed = false;
-    EXPECT_EQ(as_int(cache.get_or_compute("k", 1, fn, &computed, &codec)),
-              42);
-    EXPECT_TRUE(computed);
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.disk_misses, 1u);
-    EXPECT_EQ(stats.disk_writes, 1u);
-    EXPECT_EQ(stats.disk_hits, 0u);
-    // Content-keyed file with the documented name.
-    EXPECT_TRUE(std::filesystem::exists(
-        dir / WorkloadCache::disk_file_name("answer|v1")));
-  }
-  {
-    // A new cache instance = a new process: the value comes from disk,
-    // the compute callback never runs again.
-    WorkloadCache cache(1 << 20, dir.string());
-    bool computed = true;
-    EXPECT_EQ(as_int(cache.get_or_compute("k", 1, fn, &computed, &codec)),
-              42);
-    EXPECT_FALSE(computed) << "a disk hit is a reuse, not a fresh compute";
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.disk_hits, 1u);
-    EXPECT_EQ(stats.disk_writes, 0u);
-    EXPECT_EQ(computes, 1);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(WorkloadCacheDisk, ValidatesHeaderAndKeyBeforeDecoding) {
-  const std::filesystem::path dir = fresh_disk_dir("validate");
-  int decoded = 0;
-  const WorkloadCache::DiskCodec codec = int_codec("key-a", &decoded);
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    cache.get_or_compute("k", 1, [] { return make_value(1, 10); }, nullptr,
-                         &codec);
-  }
-  const std::filesystem::path file =
-      dir / WorkloadCache::disk_file_name("key-a");
-  ASSERT_TRUE(std::filesystem::exists(file));
-
-  // A different content key hashing to a different file: plain miss.
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    const WorkloadCache::DiskCodec other = int_codec("key-b");
-    int computes = 0;
-    cache.get_or_compute(
-        "k", 1,
-        [&] {
-          ++computes;
-          return make_value(2, 10);
-        },
-        nullptr, &other);
-    EXPECT_EQ(computes, 1);
-  }
-  // A stored key that does not match the lookup's content key (the
-  // collision case) is rejected without calling decode.
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "fairsched-cache 1\nsome-other-content\n1\n";
-  }
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    int computes = 0;
-    cache.get_or_compute(
-        "k", 1,
-        [&] {
-          ++computes;
-          return make_value(3, 10);
-        },
-        nullptr, &codec);
-    EXPECT_EQ(computes, 1);
-    EXPECT_EQ(decoded, 0);
-    EXPECT_EQ(cache.stats().disk_misses, 1u);
-  }
-  // A wrong format version is stale, not decodable.
-  {
-    std::ofstream out(file, std::ios::trunc);
-    out << "fairsched-cache 999\nkey-a\n1\n";
-  }
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    int computes = 0;
-    cache.get_or_compute(
-        "k", 1,
-        [&] {
-          ++computes;
-          return make_value(4, 10);
-        },
-        nullptr, &codec);
-    EXPECT_EQ(computes, 1);
-    EXPECT_EQ(decoded, 0);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(WorkloadCacheDisk, DecodeFailureFallsBackToCompute) {
-  const std::filesystem::path dir = fresh_disk_dir("decode_fail");
-  WorkloadCache::DiskCodec codec = int_codec("k");
-  codec.decode = [](const std::string&) -> WorkloadCache::Computed {
-    throw std::runtime_error("damaged payload");
-  };
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    cache.get_or_compute("k", 1, [] { return make_value(9, 10); }, nullptr,
-                         &codec);
-  }
-  WorkloadCache cache(1 << 20, dir.string());
-  int computes = 0;
-  EXPECT_EQ(as_int(cache.get_or_compute(
-                "k", 1,
-                [&] {
-                  ++computes;
-                  return make_value(9, 10);
-                },
-                nullptr, &codec)),
-            9);
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(cache.stats().disk_misses, 1u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(WorkloadCacheDisk, DisabledMemoryTierDisablesDiskToo) {
-  const std::filesystem::path dir = fresh_disk_dir("disabled");
-  WorkloadCache cache(0, dir.string());
-  EXPECT_FALSE(cache.disk_enabled());
-  const WorkloadCache::DiskCodec codec = int_codec("k");
-  int computes = 0;
-  const auto fn = [&] {
-    ++computes;
-    return make_value(5, 10);
-  };
-  cache.get_or_compute("k", 5, fn, nullptr, &codec);
-  cache.get_or_compute("k", 5, fn, nullptr, &codec);
-  EXPECT_EQ(computes, 2);
-  // --no-cache writes nothing anywhere.
-  EXPECT_FALSE(std::filesystem::exists(dir) &&
-               !std::filesystem::is_empty(dir));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(WorkloadCacheDisk, SharedEntriesStoreOnceAndServeManyUses) {
-  const std::filesystem::path dir = fresh_disk_dir("shared");
-  const WorkloadCache::DiskCodec codec = int_codec("shared-key");
-  {
-    WorkloadCache cache(1 << 20, dir.string());
-    for (int i = 0; i < 3; ++i) {
-      cache.get_or_compute("k", 3, [] { return make_value(6, 10); },
-                           nullptr, &codec);
-    }
-    const CacheStats stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 2u);
-    EXPECT_EQ(stats.disk_writes, 1u);
-  }
-  WorkloadCache cache(1 << 20, dir.string());
-  for (int i = 0; i < 3; ++i) {
-    cache.get_or_compute(
-        "k", 3,
-        []() -> WorkloadCache::Computed {
-          throw std::logic_error("must come from disk");
-        },
-        nullptr, &codec);
-  }
-  const CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.disk_hits, 1u);
-  EXPECT_EQ(stats.hits, 2u);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
