@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace fairsched::exp {
 
@@ -240,13 +241,7 @@ std::uint64_t artifact_determinism_digest(const ShardArtifact& artifact) {
       write_accumulator(canon, data.honest_utility);
     }
   }
-  const std::string text = canon.str();
-  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a 64
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return hash_fnv1a64(canon.str());
 }
 
 MergedSweep merge_shard_artifacts(std::vector<ShardArtifact> shards) {

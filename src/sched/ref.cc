@@ -38,9 +38,6 @@ RefScheduler::RefScheduler(const Instance& inst, RefOptions options)
         "algorithm (max 16)");
   }
   engines_.resize(std::size_t{1} << k);
-  for (Coalition::Mask mask = 1; mask < engines_.size(); ++mask) {
-    engines_[mask] = std::make_unique<Engine>(inst, Coalition(mask));
-  }
   vcache_.assign(engines_.size(), 0.0);
   weights_.reserve(k);
   for (std::uint32_t s = 1; s <= k; ++s) weights_.emplace_back(s);
@@ -237,6 +234,7 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
 }
 
 void RefScheduler::run_coalition(Coalition c, Time horizon) {
+  engines_[c.mask()] = std::make_unique<Engine>(*inst_, c);
   Engine& e = *engines_[c.mask()];
   // Only the psi_sp rule reads value steps, and only supersets read them.
   std::vector<ValueStep>* steps =
@@ -261,6 +259,10 @@ void RefScheduler::run_coalition(Coalition c, Time horizon) {
   // drop the vector's growth slack to lower REF's peak memory.
   if (steps != nullptr) steps->shrink_to_fit();
   e.advance_to(horizon);
+  if (options_.on_coalition_finished) options_.on_coalition_finished(c, e);
+  // Supersets read only the value steps (kept exactly when `steps` is
+  // set), so the schedule is freed here.
+  if (steps != nullptr) e.take_schedule();
 }
 
 void RefScheduler::run(Time horizon) {

@@ -30,11 +30,20 @@
 // hoisted Shapley subset formula (the contribution vector cannot change
 // while the clock stands still, so repeat decisions at one time moment
 // reuse it; Prop. 3.4 aggregate: O(k * 3^k) per time moment), with each
-// subcoalition value an amortized O(1) cursor read. Memory: O(2^k) engines
-// plus 16 bytes per value step, released when run() returns. The
-// constructor rejects k > 16.
+// subcoalition value an amortized O(1) cursor read.
+//
+// Memory: each coalition's engine is built when its run starts. When the
+// run ends, RefOptions::on_coalition_finished (if set) sees the finished
+// engine, and then a proper subcoalition's schedule is freed: supersets
+// read only its value steps. So at most one subcoalition schedule is live
+// next to the grand coalition's, which is REF's result. The engines stay,
+// without schedules, for their counters and final values (engine(c),
+// contributions()), as do 16 bytes per value step until run() returns.
+// The generic rule reads subcoalition schedules while supersets run, so
+// under it every schedule stays. The constructor rejects k > 16.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -81,6 +90,11 @@ struct RefOptions {
   // specialized psi_sp rule of Fig. 3 runs on the engines' exact integer
   // accounting.
   const UtilityFunction* generic_utility = nullptr;
+  // Opt-in observer: called once per coalition, grand included, in
+  // ascending mask order, when its run to the horizon ends. The engine
+  // still holds the coalition's full schedule here; under the psi_sp rule
+  // a proper subcoalition's schedule is freed right after the call.
+  std::function<void(Coalition, const Engine&)> on_coalition_finished;
 };
 
 class RefScheduler {
@@ -101,7 +115,11 @@ class RefScheduler {
   // Shapley contributions phi(u) (time units) of the grand coalition at the
   // horizon — the ideal fair division REF chases.
   std::vector<double> contributions() const;
-  // Access to any subcoalition's engine (diagnostics, tests).
+  // Any coalition's engine (diagnostics, tests): its counters and
+  // accounting stand at the horizon for every coalition, but only the
+  // grand coalition's keeps its schedule (under the generic rule, every
+  // one does). Read subcoalition schedules through
+  // RefOptions::on_coalition_finished.
   const Engine& engine(Coalition c) const { return *engines_[c.mask()]; }
 
  private:
@@ -119,8 +137,9 @@ class RefScheduler {
     std::size_t next = 0;
   };
 
-  // Runs coalition `c` to `horizon`, recording its value steps when a
-  // superset will read them.
+  // Builds coalition `c`'s engine and runs it to `horizon`, recording its
+  // value steps when a superset will read them; then notifies the observer
+  // and frees the schedule when no later coalition reads it.
   void run_coalition(Coalition c, Time horizon);
 
   // Processes coalition `c`'s due events at time t and makes its scheduling
@@ -154,8 +173,9 @@ class RefScheduler {
   const Instance* inst_;
   RefOptions options_;
   Coalition grand_;
-  std::vector<std::unique_ptr<Engine>> engines_;  // indexed by mask; [0] null
-  std::vector<ShapleyWeights> weights_;           // per coalition size 1..k
+  // Indexed by mask; [0] stays null, the rest are built as their runs start.
+  std::vector<std::unique_ptr<Engine>> engines_;
+  std::vector<ShapleyWeights> weights_;  // per coalition size 1..k
   // Value steps and read cursors, indexed by mask; filled during run().
   std::vector<std::vector<ValueStep>> steps_;
   std::vector<ValueCursor> cursors_;

@@ -83,6 +83,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/coalition.h"
@@ -261,6 +262,10 @@ class Engine {
   std::int64_t total_work_done() const { return agg_.work_at(now_); }
 
   const Schedule& schedule() const { return schedule_; }
+  // Moves the schedule out, leaving this engine an empty one; counters and
+  // accounting are untouched. Drivers that keep a finished engine for its
+  // counters and values but not its placements free them this way (REF).
+  Schedule take_schedule() { return std::exchange(schedule_, Schedule()); }
 
   // --- instrumentation ----------------------------------------------------
   // Events processed (releases admitted + completions applied) so far.

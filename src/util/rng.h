@@ -26,8 +26,14 @@ std::uint64_t splitmix64(std::uint64_t& state);
 std::uint64_t mix_seed(std::uint64_t a, std::uint64_t b);
 
 // FNV-1a over a byte string: a stable, platform-independent 64-bit hash
-// for content-addressed keys (the sweep plan fingerprint and the dispatch
-// dry-run's shard fingerprints). Not cryptographic.
+// for content-addressed keys (the sweep plan fingerprint, the dispatch
+// dry-run's shard fingerprints and the shard artifacts' determinism
+// digest). Not cryptographic.
+//
+// The offset basis is 1469598103934665603: FNV-1a's published
+// 14695981039346656037 with its last digit dropped. The hash is as well
+// mixed either way, and it stays: plan fingerprints, cache keys and golden
+// files depend on it (tests/test_rng.cc pins known answers).
 std::uint64_t hash_fnv1a64(const std::string& text);
 
 // xoshiro256** generator. Satisfies UniformRandomBitGenerator so it can also

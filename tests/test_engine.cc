@@ -184,6 +184,28 @@ TEST(Engine, ContributionAccountingConserved) {
   EXPECT_EQ(psi_u, psi_c);
 }
 
+TEST(Engine, TakeScheduleLeavesCountersAndAccounting) {
+  const Instance inst = small_instance();
+  Engine engine(inst);
+  FcfsPolicy policy;
+  engine.run(policy, 25);
+  const std::vector<Placement> placements = engine.schedule().placements();
+  const std::uint64_t events = engine.events_processed();
+  const std::uint64_t decisions = engine.decisions_made();
+  const HalfUtil value2 = engine.value2();
+  const std::int64_t work = engine.total_work_done();
+  ASSERT_GT(decisions, 0u);
+
+  const Schedule taken = engine.take_schedule();
+  EXPECT_EQ(taken.placements(), placements);
+  EXPECT_EQ(engine.schedule().size(), 0u);
+  EXPECT_EQ(engine.schedule().num_started(0), 0u);
+  EXPECT_EQ(engine.events_processed(), events);
+  EXPECT_EQ(engine.decisions_made(), decisions);
+  EXPECT_EQ(engine.value2(), value2);
+  EXPECT_EQ(engine.total_work_done(), work);
+}
+
 TEST(Engine, HorizonTruncatesAccounting) {
   const Instance inst = small_instance();
   Engine early(inst), late(inst);

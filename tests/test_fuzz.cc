@@ -90,10 +90,15 @@ TEST_P(RefFuzz, EveryCoalitionScheduleMatchesItsRestrictedWorld) {
   const std::uint64_t seed = GetParam();
   const Instance inst = random_instance(seed, 3, false);
   const Time horizon = 120;
-  RefScheduler ref(inst);
-  ref.run(horizon);
-  for (Coalition::Mask mask = 1; mask < (1u << inst.num_orgs()); ++mask) {
-    const Engine& e = ref.engine(Coalition(mask));
+  // Subcoalition schedules are freed as REF goes, so each coalition is
+  // checked where the observer sees its finished engine.
+  Coalition::Mask observed = 0;
+  RefOptions options;
+  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
+    ++observed;
+    const Coalition::Mask mask = c.mask();
+    EXPECT_EQ(e.schedule().size(), e.decisions_made())
+        << "seed=" << seed << " mask=" << mask;
     EXPECT_EQ(e.schedule().check_machine_exclusive(inst), std::nullopt)
         << "seed=" << seed << " mask=" << mask;
     EXPECT_EQ(e.schedule().check_fifo(inst), std::nullopt)
@@ -101,7 +106,7 @@ TEST_P(RefFuzz, EveryCoalitionScheduleMatchesItsRestrictedWorld) {
     // Utilities of non-members must be zero; member utilities match the
     // closed form.
     for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-      if (!Coalition(mask).contains(u)) {
+      if (!c.contains(u)) {
         EXPECT_EQ(e.psi2(u), 0) << "seed=" << seed << " mask=" << mask;
       } else {
         EXPECT_EQ(e.psi2(u),
@@ -109,7 +114,11 @@ TEST_P(RefFuzz, EveryCoalitionScheduleMatchesItsRestrictedWorld) {
             << "seed=" << seed << " mask=" << mask << " u=" << u;
       }
     }
-  }
+  };
+  RefScheduler ref(inst, options);
+  ref.run(horizon);
+  EXPECT_EQ(observed, Coalition::grand(inst.num_orgs()).mask())
+      << "seed=" << seed;
   // Shapley efficiency of the reported contributions at the horizon.
   const auto phi = ref.contributions();
   double phi_sum = 0.0;

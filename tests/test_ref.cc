@@ -36,17 +36,103 @@ TEST(Ref, GrandScheduleFeasibleAndGreedy) {
 TEST(Ref, AllSubcoalitionSchedulesFeasible) {
   const Instance inst = make_synthetic_instance(
       preset_lpc_egee(), 3, 800, MachineSplit::kUniform, 1.0, 33);
-  RefScheduler ref(inst);
-  ref.run(800);
-  for (Coalition::Mask mask = 1; mask < (1u << inst.num_orgs()); ++mask) {
-    const Engine& e = ref.engine(Coalition(mask));
+  // Subcoalition schedules are freed as REF goes, so they are checked
+  // where the observer sees them, complete.
+  Coalition::Mask observed = 0;
+  RefOptions options;
+  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
+    ++observed;
+    // Every coalition of this instance starts jobs, and the observed
+    // schedule holds each of them: the checks below are not vacuous.
+    EXPECT_GT(e.decisions_made(), 0u) << "mask=" << c.mask();
+    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << c.mask();
     // A coalition's schedule must be a feasible greedy schedule of the
     // restricted instance (here we can reuse the full instance: the
     // validators only look at placements that exist, and greediness is
     // checked against the coalition's own machines via the engine's totals).
     EXPECT_EQ(e.schedule().check_machine_exclusive(inst), std::nullopt)
-        << "mask=" << mask;
-    EXPECT_EQ(e.schedule().check_fifo(inst), std::nullopt) << "mask=" << mask;
+        << "mask=" << c.mask();
+    EXPECT_EQ(e.schedule().check_fifo(inst), std::nullopt)
+        << "mask=" << c.mask();
+  };
+  RefScheduler ref(inst, options);
+  ref.run(800);
+  EXPECT_EQ(observed, Coalition::grand(inst.num_orgs()).mask());
+}
+
+// What the observer saw of one coalition.
+struct ObservedCoalition {
+  Coalition::Mask mask;
+  std::uint64_t events;
+  std::uint64_t decisions;
+  HalfUtil value2;
+  std::int64_t work;
+  std::vector<Placement> placements;
+};
+
+TEST(Ref, ObserverFiresOncePerCoalitionThenSubcoalitionSchedulesAreFreed) {
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 4, 1500, MachineSplit::kZipf, 1.0, 59);
+  const Coalition grand = Coalition::grand(inst.num_orgs());
+  std::vector<ObservedCoalition> seen;
+  RefOptions options;
+  options.on_coalition_finished = [&seen](Coalition c, const Engine& e) {
+    seen.push_back({c.mask(), e.events_processed(), e.decisions_made(),
+                    e.value2(), e.total_work_done(),
+                    e.schedule().placements()});
+  };
+  RefScheduler ref(inst, options);
+  ref.run(1500);
+
+  // Once per coalition, in ascending mask order.
+  ASSERT_EQ(seen.size(), grand.mask());
+  for (Coalition::Mask mask = 1; mask <= grand.mask(); ++mask) {
+    const ObservedCoalition& s = seen[mask - 1];
+    EXPECT_EQ(s.mask, mask);
+    EXPECT_EQ(s.placements.size(), s.decisions) << "mask=" << mask;
+    // After run(), the engine keeps what the observer saw except the
+    // schedule, which only the grand coalition keeps.
+    const Engine& e = ref.engine(Coalition(mask));
+    EXPECT_EQ(e.events_processed(), s.events) << "mask=" << mask;
+    EXPECT_EQ(e.decisions_made(), s.decisions) << "mask=" << mask;
+    EXPECT_EQ(e.value2(), s.value2) << "mask=" << mask;
+    EXPECT_EQ(e.total_work_done(), s.work) << "mask=" << mask;
+    if (mask == grand.mask()) {
+      EXPECT_EQ(e.schedule().placements(), s.placements);
+    } else {
+      EXPECT_EQ(e.schedule().size(), 0u) << "mask=" << mask;
+    }
+  }
+  EXPECT_GT(seen.back().decisions, 0u);
+
+  // The observer only reads: an unobserved run gives the same result.
+  RefScheduler plain(inst);
+  plain.run(1500);
+  EXPECT_EQ(plain.schedule().placements(), ref.schedule().placements());
+  EXPECT_EQ(plain.utilities2(), ref.utilities2());
+  EXPECT_EQ(plain.contributions(), ref.contributions());
+}
+
+TEST(Ref, GenericRuleKeepsEverySubcoalitionSchedule) {
+  // The Fig. 1 rule evaluates subcoalition schedules while supersets run,
+  // so none is freed.
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 3, 300, MachineSplit::kUniform, 1.0, 47);
+  CompletedWorkUtilityFn throughput;
+  std::vector<std::vector<Placement>> seen;
+  RefOptions options;
+  options.generic_utility = &throughput;
+  options.on_coalition_finished = [&seen](Coalition, const Engine& e) {
+    seen.push_back(e.schedule().placements());
+  };
+  RefScheduler ref(inst, options);
+  ref.run(300);
+  const Coalition grand = Coalition::grand(inst.num_orgs());
+  ASSERT_EQ(seen.size(), grand.mask());
+  for (Coalition::Mask mask = 1; mask <= grand.mask(); ++mask) {
+    const Engine& e = ref.engine(Coalition(mask));
+    EXPECT_EQ(e.schedule().placements(), seen[mask - 1]) << "mask=" << mask;
+    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << mask;
   }
 }
 
@@ -236,24 +322,35 @@ struct RefGolden {
 
 void expect_golden(const Instance& inst, Time horizon, const RefGolden& golden,
                    RefOptions options = {}) {
+  // Subcoalition schedules are freed as REF goes; the digest reads each
+  // one in the observer, which fires in ascending mask order.
+  std::uint64_t digest = fixtures::kFnvOffset;
+  std::uint64_t events = 0;
+  std::uint64_t decisions = 0;
+  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
+    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << c.mask();
+    fixtures::fnv_mix(digest, c.mask());
+    fixtures::fnv_mix_placements(digest, e.schedule());
+    events += e.events_processed();
+    decisions += e.decisions_made();
+  };
   RefScheduler ref(inst, options);
   ref.run(horizon);
   EXPECT_EQ(ref.utilities2(), golden.utilities2);
   EXPECT_EQ(ref.contributions(), golden.contributions);
-  std::uint64_t digest = fixtures::kFnvOffset;
-  std::uint64_t events = 0;
-  std::uint64_t decisions = 0;
-  for (Coalition::Mask mask = 1; mask < (Coalition::Mask{1} << inst.num_orgs());
-       ++mask) {
-    const Engine& e = ref.engine(Coalition(mask));
-    fixtures::fnv_mix(digest, mask);
-    fixtures::fnv_mix_placements(digest, e.schedule());
-    events += e.events_processed();
-    decisions += e.decisions_made();
-  }
   EXPECT_EQ(digest, golden.digest);
   EXPECT_EQ(events, golden.events);
   EXPECT_EQ(decisions, golden.decisions);
+  // The counters stay readable through engine(mask) after run().
+  std::uint64_t kept_events = 0;
+  std::uint64_t kept_decisions = 0;
+  for (Coalition::Mask mask = 1; mask < (Coalition::Mask{1} << inst.num_orgs());
+       ++mask) {
+    kept_events += ref.engine(Coalition(mask)).events_processed();
+    kept_decisions += ref.engine(Coalition(mask)).decisions_made();
+  }
+  EXPECT_EQ(kept_events, golden.events);
+  EXPECT_EQ(kept_decisions, golden.decisions);
 }
 
 // Pinned REF output: utilities, contributions at the horizon, a digest of

@@ -141,6 +141,19 @@ TEST(Rng, LognormalMedian) {
   EXPECT_NEAR(xs[10000], std::exp(2.0), 0.15 * std::exp(2.0));
 }
 
+TEST(HashFnv1a64, KnownAnswersUseTheProjectOffsetBasis) {
+  // The empty string hashes to the offset basis itself: 1469598103934665603,
+  // not FNV-1a's published 14695981039346656037 (0xcbf29ce484222325).
+  // Plan fingerprints, cache keys and golden files depend on this basis.
+  EXPECT_EQ(hash_fnv1a64(""), 1469598103934665603ULL);
+  EXPECT_EQ(hash_fnv1a64(""), 0x14650fb0739d0383ULL);
+  EXPECT_EQ(hash_fnv1a64("a"), 0x44bd8ad473cd9906ULL);
+  EXPECT_EQ(hash_fnv1a64("foobar"), 0x88fad7c0a8ff07f2ULL);
+  // The published basis would give the standard test vectors instead.
+  EXPECT_NE(hash_fnv1a64("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_NE(hash_fnv1a64("foobar"), 0x85944171f73967e8ULL);
+}
+
 TEST(Zipf, RanksInRange) {
   ZipfSampler zipf(10, 1.0);
   Rng rng(47);
