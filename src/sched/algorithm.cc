@@ -16,7 +16,7 @@ RunResult PolicyAlgorithm::run(const Instance& inst, Time horizon,
   std::unique_ptr<Policy> policy = maker_(seed);
   engine.run(*policy, horizon);
   RunResult result;
-  result.schedule = engine.schedule();
+  result.schedule = engine.take_schedule();
   result.utilities2.resize(inst.num_orgs());
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     result.utilities2[u] = engine.psi2(u);
@@ -30,7 +30,7 @@ RunResult RefAlgorithm::run(const Instance& inst, Time horizon,
   RefScheduler ref(inst);
   ref.run(horizon);
   RunResult result;
-  result.schedule = ref.schedule();
+  result.schedule = ref.take_schedule();
   result.utilities2 = ref.utilities2();
   result.work_done = ref.reference_work();
   return result;
@@ -41,7 +41,7 @@ RunResult RandAlgorithm::run(const Instance& inst, Time horizon,
   RandScheduler rand(inst, RandOptions{samples_, seed});
   rand.run(horizon);
   RunResult result;
-  result.schedule = rand.schedule();
+  result.schedule = rand.take_schedule();
   result.utilities2 = rand.utilities2();
   result.work_done = rand.work_done();
   return result;

@@ -13,10 +13,11 @@
 // pieces every in-tree port uses:
 //
 //   * IncrementalPolicy — the mirror-bookkeeping base. The engine's
-//     PolicyView::state_version() counts every observable state change
-//     (events processed + jobs started); the base records the version the
-//     mirror was last synchronized at. Notification handlers call track():
-//     when the notification is exactly the next unseen change, the handler
+//     PolicyView::state_version() counts every observable state change,
+//     one per notification (a completion, a same-time release run, a job
+//     started); the base records the version the mirror was last
+//     synchronized at. Notification handlers call track(): when the
+//     notification is exactly the next unseen change, the handler
 //     applies its delta (O(log n) when a key moves, O(1) when none does);
 //     otherwise the mirror is stale (the policy is being driven by a loop
 //     that steps the engine without attaching — see Engine::attach) and

@@ -92,6 +92,9 @@ class RandScheduler {
   void run(Time horizon);
 
   const Schedule& schedule() const { return grand_->schedule(); }
+  // Moves the grand schedule out (Engine::take_schedule); schedule() reads
+  // empty afterwards, every other result stays valid.
+  Schedule take_schedule() { return grand_->take_schedule(); }
   std::vector<HalfUtil> utilities2() const;
   std::int64_t work_done() const { return grand_->total_work_done(); }
   // Estimated contributions phi (time units) at the current clock.

@@ -108,6 +108,11 @@ class RefScheduler {
 
   // --- results (valid after run) -----------------------------------------
   const Schedule& schedule() const { return grand_engine().schedule(); }
+  // Moves the grand schedule out (Engine::take_schedule); schedule() reads
+  // empty afterwards, every other result stays valid.
+  Schedule take_schedule() {
+    return engines_[grand_.mask()]->take_schedule();
+  }
   // The reference fair utility vector psi* (2*psi per organization).
   std::vector<HalfUtil> utilities2() const;
   // p_tot: completed unit parts in the fair schedule by the horizon.

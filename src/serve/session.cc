@@ -42,7 +42,10 @@ std::string format_decision_line(Time time, OrgId org, std::uint32_t index,
 class ServeSession::StatsListener final : public Policy {
  public:
   StatsListener(Policy* inner, const Engine* engine, ServeReport* report)
-      : inner_(inner), engine_(engine), report_(report) {}
+      : inner_(inner),
+        engine_(engine),
+        report_(report),
+        resident_(engine->num_orgs(), 0) {}
 
   void reset(const PolicyView& view) override { inner_->reset(view); }
   OrgId select(const PolicyView& view) override {
@@ -57,9 +60,10 @@ class ServeSession::StatsListener final : public Policy {
   }
   void on_release(const PolicyView& view, OrgId org) override {
     inner_->on_release(view, org);
-    // This release made the organization resident iff it is its only
-    // pending job (the waiting count was already incremented).
-    if (engine_->waiting(org) + engine_->running(org) == 1) {
+    // One notification may carry several releases of org (a same-time
+    // run), so residency is a flag, not a pending count of exactly one.
+    if (!resident_[org]) {
+      resident_[org] = 1;
       resident_orgs_++;
       if (resident_orgs_ > report_->peak_resident_orgs) {
         report_->peak_resident_orgs = resident_orgs_;
@@ -79,6 +83,7 @@ class ServeSession::StatsListener final : public Policy {
     inner_->on_complete(view, org, machine);
     report_->completions++;
     if (engine_->waiting(org) + engine_->running(org) == 0) {
+      resident_[org] = 0;
       resident_orgs_--;
     }
   }
@@ -89,6 +94,8 @@ class ServeSession::StatsListener final : public Policy {
   Policy* inner_;
   const Engine* engine_;
   ServeReport* report_;
+  // Organizations with a waiting or running job.
+  std::vector<char> resident_;
   std::uint32_t resident_orgs_ = 0;
 };
 

@@ -114,16 +114,18 @@ void Engine::apply_completion(OrgId org, MachineId machine) {
   }
   free_machines_++;
   events_processed_++;
+  notifications_++;
   if (listener_ != nullptr) {
     PolicyView view(*this);
     listener_->on_complete(view, org, machine);
   }
 }
 
-void Engine::apply_release(OrgId org) {
-  released_[org]++;
-  waiting_total_++;
-  events_processed_++;
+void Engine::apply_release_run(OrgId org, std::uint32_t count) {
+  released_[org] += count;
+  waiting_total_ += count;
+  events_processed_ += count;
+  notifications_++;
   if (listener_ != nullptr) {
     PolicyView view(*this);
     listener_->on_release(view, org);
@@ -145,23 +147,39 @@ void Engine::advance_to(Time t) {
       apply_completion(e.org, e.machine);
       continue;
     }
-    apply_release(e.org);
-    if (options_.external_releases) continue;
-    // Stream in the organization's next releases (engine.h header note):
-    // a successor still earliest in the one order — at or before t,
-    // strictly before the next completion (which wins a tie), ahead of the
-    // release heap's top — is admitted here; the first that is not goes
-    // into the heap.
+    if (options_.external_releases) {
+      // The run's other injected jobs sit right behind e in the heap's
+      // (time, org, index) order.
+      std::uint32_t count = 1;
+      while (!releases_.empty() && releases_.top().time == e.time &&
+             releases_.top().org == e.org) {
+        releases_.pop();
+        ++count;
+      }
+      apply_release_run(e.org, count);
+      continue;
+    }
+    // Admit the organization's whole run at e.time, then stream in its
+    // next runs (engine.h header note): a successor still earliest in the
+    // one order — at or before t, strictly before the next completion
+    // (which wins a tie), ahead of the release heap's top — is admitted
+    // here; the first that is not goes into the heap.
     const auto jobs = inst_->jobs_of(e.org);
-    for (std::uint32_t i = e.index + 1; i < jobs.size(); ++i) {
-      const Event next{jobs[i].release, e.org, i, kNoMachine};
+    for (std::uint32_t first = e.index;;) {
+      std::uint32_t end = first + 1;
+      while (end < jobs.size() && jobs[end].release == jobs[first].release) {
+        ++end;
+      }
+      apply_release_run(e.org, end - first);
+      if (end == jobs.size()) break;
+      const Event next{jobs[end].release, e.org, end, kNoMachine};
       if (next.time > t || next.time >= next_completion() ||
           (!releases_.empty() && !PopsAfter{}(releases_.top(), next))) {
         releases_.push(next);
         break;
       }
       advance_clock(next.time);
-      apply_release(e.org);
+      first = end;
     }
   }
   advance_clock(t);

@@ -41,14 +41,28 @@
 // that injects releases (EngineOptions::external_releases) sees the same
 // event sequence as a preloaded engine.
 //
+// --- Release runs ------------------------------------------------------------
+//
+// An organization's releases at one timestamp are adjacent in that order
+// (no completion can fall between them: completions at t pop first, and
+// none is pushed while advance_to drains). The engine therefore admits a
+// whole same-(time, org) run in one step: released and waiting counts and
+// events_processed() grow by the run length, and the listener hears one
+// on_release(view, u) for the run, reading its length off waiting(u). In
+// batch mode the run is the stretch of u's release-sorted job list with
+// that release; in external-releases mode it is the heap entries with the
+// same (time, org) behind the one that popped. Decisions cannot tell the
+// difference — no policy decides between two releases of one timestamp.
+//
 // A preloaded engine streams each organization's releases: the heap holds
-// only its next one. After a release pops, its successors are admitted
-// straight from the instance for as long as each is still the earliest
-// event of that order (at or before the advance_to target, strictly
-// before the next completion, ahead of the release heap's top); the first
-// that is not goes into the heap. That is the same rule applied without a
-// heap round-trip, and it is what keeps unit-piece deviations (one org's
-// jobs split into long same-release runs) cheap.
+// only its next one. After a run is admitted, the organization's next run
+// is admitted straight from the instance for as long as it is still the
+// earliest event of that order (at or before the advance_to target,
+// strictly before the next completion, ahead of the release heap's top);
+// the first that is not goes into the heap. That is the same rule applied
+// without a heap round-trip. Together with run admission it is what keeps
+// unit-piece deviations (one org's jobs split into long same-release runs)
+// cheap: a run costs one notification, not one per piece.
 //
 // One exception, and it is DIRECTCONTR's: with MachinePick::kRandomFree
 // the completion heap orders by time alone. Same-time completions then pop
@@ -152,7 +166,8 @@ class Engine {
   // Advances the clock to t (>= now()): accrues utilities, completes jobs
   // due at or before t, and admits releases at or before t. Does not start
   // any job. Events are processed in the order of the header note; the
-  // attached listener, if any, is notified per event.
+  // attached listener, if any, is notified once per completion and once
+  // per same-(time, org) release run.
   void advance_to(Time t);
 
   // True when a scheduling decision is required (free machine + waiting job).
@@ -272,10 +287,12 @@ class Engine {
   std::uint64_t events_processed() const { return events_processed_; }
   // Scheduling decisions applied (start_front calls) so far.
   std::uint64_t decisions_made() const { return decisions_; }
-  // Monotone version of the observable state: bumps on every event and
-  // every start. Incremental policies use it to detect missed
-  // notifications (PolicyView::state_version).
-  std::uint64_t state_version() const { return events_processed_ + decisions_; }
+  // Monotone version of the observable state: bumps once per notification
+  // point (each completion and each release run, attached or not) and once
+  // per start, so it moves by exactly one per on_complete / on_release /
+  // on_start an attached listener hears. Incremental policies use it to
+  // detect missed notifications (PolicyView::state_version).
+  std::uint64_t state_version() const { return notifications_ + decisions_; }
 
  private:
   // One pending release or completion (see the header note).
@@ -321,7 +338,8 @@ class Engine {
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
   void apply_completion(OrgId org, MachineId machine);
-  void apply_release(OrgId org);
+  // Admits `count` releases of org at now() as one run (header note).
+  void apply_release_run(OrgId org, std::uint32_t count);
   MachineId pick_machine();
 
   const Instance* inst_;
@@ -383,6 +401,8 @@ class Engine {
   AggSnapshot agg_;
 
   std::uint64_t events_processed_ = 0;
+  // Completions plus release runs: the points a listener is notified at.
+  std::uint64_t notifications_ = 0;
   std::uint64_t decisions_ = 0;
   Policy* listener_ = nullptr;
 

@@ -27,8 +27,10 @@
 //   on_advance(view, dt)           the clock moved forward by dt; state
 //                                  visible through `view` is already at the
 //                                  new time;
-//   on_release(view, u)            a job of u was released (after the
-//                                  waiting count was incremented);
+//   on_release(view, u)            one or more jobs of u were released
+//                                  at now() (after the waiting count grew
+//                                  by all of them): one notification per
+//                                  same-time run of u's releases;
 //   on_complete(view, u, m)        a job of u completed on machine m (after
 //                                  the accounting was updated and m freed);
 //   on_start(view, u, index, m)    u's job `index` started on m — delivered
@@ -84,10 +86,11 @@ class PolicyView {
   std::int64_t work_done(OrgId u) const;     // unit parts of u's jobs executed
   std::int64_t contrib_work(OrgId u) const;  // unit parts executed on u's machines
 
-  // Monotone counter of engine state changes (events processed + jobs
-  // started). A policy mirroring engine state incrementally compares this
-  // against the version it last synchronized at to detect state changes it
-  // was not notified of (drivers that step the engine without attaching).
+  // Monotone counter of engine state changes: one per notification point
+  // (a completion or a same-time release run) plus one per job started. A
+  // policy mirroring engine state incrementally compares this against the
+  // version it last synchronized at to detect state changes it was not
+  // notified of (drivers that step the engine without attaching).
   std::uint64_t state_version() const;
 
  private:

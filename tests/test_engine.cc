@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,9 +24,11 @@ namespace fairsched {
 namespace {
 
 // Forwards to `inner` and records every notification the engine and the
-// driver deliver. Releases and completions carry the job index they refer
-// to, recovered from the engine, so the record pins the full
-// (time, kind, org, index) event order.
+// driver deliver. Completions carry the job index they refer to, recovered
+// from the engine; a release notification carries its run — the index of
+// the first job it released and how many (the growth of the organization's
+// released count since its previous release notification) — so the record
+// pins the full (time, kind, org, index) event order.
 class RecordingPolicy final : public Policy {
  public:
   // Completions order before releases, as in the engine's tie-break.
@@ -36,11 +39,12 @@ class RecordingPolicy final : public Policy {
     OrgId org;
     std::uint32_t index;
     MachineId machine;
+    std::uint32_t count = 1;  // jobs released by a release notification
     friend bool operator==(const Note&, const Note&) = default;
   };
 
   RecordingPolicy(const Engine& engine, Policy& inner)
-      : engine_(engine), inner_(inner) {}
+      : engine_(engine), inner_(inner), released_(engine.num_orgs(), 0) {}
 
   void reset(const PolicyView& view) override { inner_.reset(view); }
   OrgId select(const PolicyView& view) override { return inner_.select(view); }
@@ -50,9 +54,11 @@ class RecordingPolicy final : public Policy {
     inner_.on_start(view, org, index, machine);
   }
   void on_release(const PolicyView& view, OrgId org) override {
-    const std::uint32_t index =
-        engine_.schedule().num_started(org) + engine_.waiting(org) - 1;
-    notes_.push_back({kRelease, view.now(), org, index, kNoMachine});
+    const std::uint32_t released =
+        engine_.schedule().num_started(org) + engine_.waiting(org);
+    notes_.push_back({kRelease, view.now(), org, released_[org], kNoMachine,
+                      released - released_[org]});
+    released_[org] = released;
     inner_.on_release(view, org);
   }
   void on_complete(const PolicyView& view, OrgId org,
@@ -76,14 +82,15 @@ class RecordingPolicy final : public Policy {
   }
 
   const std::vector<Note>& notes() const { return notes_; }
-  // (kind, org, index) of a release or completion.
-  using Event = std::tuple<Kind, OrgId, std::uint32_t>;
-  // The releases and completions applied at time t, in order.
+  // (kind, org, index, count) of a completion (count 1) or a release run
+  // (index of its first job).
+  using Event = std::tuple<Kind, OrgId, std::uint32_t, std::uint32_t>;
+  // The release and completion notifications at time t, in order.
   std::vector<Event> events_at(Time t) const {
     std::vector<Event> out;
     for (const Note& n : notes_) {
       if (n.time == t && (n.kind == kComplete || n.kind == kRelease)) {
-        out.emplace_back(n.kind, n.org, n.index);
+        out.emplace_back(n.kind, n.org, n.index, n.count);
       }
     }
     return out;
@@ -93,6 +100,8 @@ class RecordingPolicy final : public Policy {
   const Engine& engine_;
   Policy& inner_;
   std::vector<Note> notes_;
+  // Per organization: jobs released as of its last release notification.
+  std::vector<std::uint32_t> released_;
 };
 
 // Unit and two-slot jobs (up to `max_processing` slots) released in [0, 8)
@@ -307,7 +316,8 @@ TEST(Engine, RandomMachinePickDeterministicPerSeed) {
 
 // The one same-time rule (engine.h): completions before releases, then by
 // organization, then by job index — whatever order the heaps saw the
-// events pushed in.
+// events pushed in. An organization's releases at one time reach the
+// policy as one notification for the run.
 TEST(Engine, SameTimeEventsApplyCompletionsFirstThenByOrgThenIndex) {
   InstanceBuilder b;
   const OrgId a = b.add_org("a", 2);
@@ -327,17 +337,27 @@ TEST(Engine, SameTimeEventsApplyCompletionsFirstThenByOrgThenIndex) {
   engine.run(recorder, 20);
   using R = RecordingPolicy;
   const std::vector<R::Event> expected = {
-      {R::kComplete, a, 0},
-      {R::kComplete, a, 1},
-      {R::kComplete, d, 0},
-      {R::kRelease, a, 2},
-      {R::kRelease, c, 0},
-      {R::kRelease, d, 1},
-      {R::kRelease, d, 2},
+      {R::kComplete, a, 0, 1},
+      {R::kComplete, a, 1, 1},
+      {R::kComplete, d, 0, 1},
+      {R::kRelease, a, 2, 1},
+      {R::kRelease, c, 0, 1},
+      {R::kRelease, d, 1, 2},
   };
   EXPECT_EQ(recorder.events_at(7), expected);
+  const std::vector<R::Event> at_zero = {{R::kRelease, a, 0, 2},
+                                         {R::kRelease, d, 0, 1}};
+  EXPECT_EQ(recorder.events_at(0), at_zero);
+  // Seven releases and seven completions are still seven events each; the
+  // version counts the five release runs, seven completions and seven
+  // starts the policy heard.
+  EXPECT_EQ(engine.events_processed(), 14u);
+  EXPECT_EQ(engine.state_version(), 19u);
 }
 
+// Notifications follow the one order, and each release notification is
+// one whole same-(time, org) run: it starts at the organization's first job
+// released at that time and carries every job released then.
 TEST(Engine, EventStreamIsTotallyOrderedOnCollidingWorkloads) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Instance inst = colliding_instance(seed, 6);
@@ -345,15 +365,33 @@ TEST(Engine, EventStreamIsTotallyOrderedOnCollidingWorkloads) {
     FairSharePolicy fairshare;
     RecordingPolicy recorder(engine, fairshare);
     engine.run(recorder, 40);
-    using Key = std::tuple<Time, RecordingPolicy::Kind, OrgId, std::uint32_t>;
+    using R = RecordingPolicy;
+    using Key = std::tuple<Time, R::Kind, OrgId, std::uint32_t>;
     std::vector<Key> keys;
-    for (const RecordingPolicy::Note& n : recorder.notes()) {
-      if (n.kind == RecordingPolicy::kComplete ||
-          n.kind == RecordingPolicy::kRelease) {
-        keys.emplace_back(n.time, n.kind, n.org, n.index);
-      }
+    std::uint64_t events = 0;
+    std::uint64_t heard = 0;
+    std::uint32_t longest_run = 0;
+    for (const R::Note& n : recorder.notes()) {
+      if (n.kind == R::kAdvance) continue;
+      ++heard;
+      if (n.kind == R::kStart) continue;
+      events += n.count;
+      // Releases key by (time, org) alone: two notes of one run would tie.
+      keys.emplace_back(n.time, n.kind, n.org,
+                        n.kind == R::kRelease ? 0 : n.index);
+      if (n.kind != R::kRelease) continue;
+      const auto jobs = inst.jobs_of(n.org);
+      std::uint32_t run = 0;
+      for (const Job& job : jobs) run += job.release == n.time ? 1 : 0;
+      EXPECT_EQ(n.count, run) << "seed=" << seed;
+      longest_run = std::max(longest_run, n.count);
+      EXPECT_EQ(jobs[n.index].release, n.time) << "seed=" << seed;
+      EXPECT_TRUE(n.index == 0 || jobs[n.index - 1].release < n.time)
+          << "seed=" << seed;
     }
-    EXPECT_EQ(keys.size(), engine.events_processed()) << "seed=" << seed;
+    EXPECT_GT(longest_run, 1u) << "seed=" << seed;
+    EXPECT_EQ(events, engine.events_processed()) << "seed=" << seed;
+    EXPECT_EQ(heard, engine.state_version()) << "seed=" << seed;
     for (std::size_t i = 1; i < keys.size(); ++i) {
       EXPECT_LT(keys[i - 1], keys[i]) << "seed=" << seed << " i=" << i;
     }
@@ -526,16 +564,16 @@ TEST(EngineReleaseRuns, PendingCompletionAtTheSuccessorsTimeGoesFirst) {
   RecordingPolicy recorder(engine, fcfs);
   engine.run(recorder, 10);
   using R = RecordingPolicy;
-  const std::vector<R::Event> expected = {{R::kComplete, a, 0},
-                                          {R::kRelease, a, 2}};
+  const std::vector<R::Event> expected = {{R::kComplete, a, 0, 1},
+                                          {R::kRelease, a, 2, 1}};
   EXPECT_EQ(recorder.events_at(2), expected);
   expect_release_paths_agree<FcfsPolicy>(inst, 10, "completion tie");
 }
 
 TEST(EngineReleaseRuns, SameTimeTieWithAWaitingOrgFollowsOrgIds) {
-  // One advance_to over [3, 10]: the running org's successor at 5 meets
-  // another org's release at 5 in the heap, and the lower id goes first
-  // either way round.
+  // One advance_to over [3, 10]: the running org's successor run at 5 (two
+  // jobs, one notification) meets another org's release at 5 in the heap,
+  // and the lower id goes first either way round.
   for (const bool runner_is_lower : {false, true}) {
     InstanceBuilder b;
     const OrgId low = b.add_org("low", 1);
@@ -555,16 +593,89 @@ TEST(EngineReleaseRuns, SameTimeTieWithAWaitingOrgFollowsOrgIds) {
     using R = RecordingPolicy;
     const std::vector<R::Event> expected =
         runner_is_lower
-            ? std::vector<R::Event>{{R::kRelease, low, 1},
-                                    {R::kRelease, low, 2},
-                                    {R::kRelease, high, 0}}
-            : std::vector<R::Event>{{R::kRelease, low, 0},
-                                    {R::kRelease, high, 1},
-                                    {R::kRelease, high, 2}};
+            ? std::vector<R::Event>{{R::kRelease, low, 1, 2},
+                                    {R::kRelease, high, 0, 1}}
+            : std::vector<R::Event>{{R::kRelease, low, 0, 1},
+                                    {R::kRelease, high, 1, 2}};
     EXPECT_EQ(recorder.events_at(5), expected)
         << "runner_is_lower=" << runner_is_lower;
+    EXPECT_EQ(engine.events_processed(), 4u);
+    EXPECT_EQ(engine.state_version(), 3u);
     expect_release_paths_agree<FcfsPolicy>(inst, 20, "org tie");
   }
+}
+
+// --- Run boundaries ----------------------------------------------------------
+//
+// The release notifications and counters of advancing through `targets`
+// without deciding: preloaded, or with every release injected up front in
+// `arrivals` order when that is given.
+struct AdmittedRuns {
+  // (time, org, first index, count) per release notification.
+  std::vector<std::tuple<Time, OrgId, std::uint32_t, std::uint32_t>> runs;
+  std::uint64_t events = 0;
+  std::uint64_t version = 0;
+};
+
+AdmittedRuns admit(const Instance& inst, const std::vector<Time>& targets,
+                   const std::vector<OrgId>* arrivals = nullptr) {
+  EngineOptions options;
+  options.external_releases = arrivals != nullptr;
+  Engine engine(inst, options);
+  FcfsPolicy fcfs;
+  RecordingPolicy recorder(engine, fcfs);
+  engine.attach(&recorder);
+  if (arrivals != nullptr) {
+    for (const OrgId u : *arrivals) engine.inject_release(u);
+  }
+  for (const Time t : targets) engine.advance_to(t);
+  AdmittedRuns out;
+  for (const RecordingPolicy::Note& n : recorder.notes()) {
+    if (n.kind == RecordingPolicy::kRelease) {
+      out.runs.emplace_back(n.time, n.org, n.index, n.count);
+    }
+  }
+  out.events = engine.events_processed();
+  out.version = engine.state_version();
+  return out;
+}
+
+void expect_runs(const Instance& inst, const std::vector<OrgId>& arrivals,
+                 const AdmittedRuns& expected) {
+  for (const std::vector<Time>& targets :
+       {std::vector<Time>{10}, std::vector<Time>{0, 2, 3, 4, 10}}) {
+    const std::string what = "targets=" + std::to_string(targets.size());
+    for (const bool injected : {false, true}) {
+      const AdmittedRuns got =
+          admit(inst, targets, injected ? &arrivals : nullptr);
+      EXPECT_EQ(got.runs, expected.runs) << what << " injected=" << injected;
+      EXPECT_EQ(got.events, expected.events)
+          << what << " injected=" << injected;
+      EXPECT_EQ(got.version, expected.version)
+          << what << " injected=" << injected;
+    }
+  }
+}
+
+TEST(EngineReleaseRuns, OneOrgAtTAndTPlusOneIsTwoRuns) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  for (const Time r : {3, 3, 4, 4, 4}) b.add_job(a, r, 1);
+  const Instance inst = std::move(b).build();
+  expect_runs(inst, {a, a, a, a, a},
+              {{{3, a, 0, 2}, {4, a, 2, 3}}, /*events=*/5, /*version=*/2});
+}
+
+TEST(EngineReleaseRuns, TwoOrgsAtTAreTwoRuns) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 1);
+  const OrgId c = b.add_org("c", 1);
+  for (const Time r : {2, 2}) b.add_job(a, r, 1);
+  for (const Time r : {2, 2, 2}) b.add_job(c, r, 1);
+  const Instance inst = std::move(b).build();
+  // Injected interleaved: the heap still hands each org's run over whole.
+  expect_runs(inst, {c, a, c, a, c},
+              {{{2, a, 0, 2}, {2, c, 0, 3}}, /*events=*/5, /*version=*/2});
 }
 
 TEST(Engine, LargerSyntheticWorkloadStaysConsistent) {

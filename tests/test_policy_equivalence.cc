@@ -15,8 +15,9 @@
 //
 // Besides random contended instances, the suite runs the traffic the
 // Theorem 4.1 deviation grid produces: one organization's jobs split into
-// same-release runs of unit pieces, where nearly every release lands in a
-// queue that already waits (the case the mirrors skip without re-keying).
+// same-release runs of unit pieces, each reaching the mirror as one
+// release notification, often into a queue that already waits (the case
+// the mirrors skip without re-keying).
 //
 // The scan reference policies below are verbatim copies of the historical
 // select() loops (first-strict-improvement argmin scans), kept here as the
@@ -25,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -436,10 +438,16 @@ TEST(PolicyEquivalence, DetachedWithoutResetHealsFromTheView) {
 // --- push-lifecycle delivery probe ------------------------------------------
 
 // Counts every notification and checks the documented delivery points
-// (sim/policy.h): on_release after the waiting count grew, on_complete
-// after the machine freed, on_advance with the positive clock delta.
+// (sim/policy.h): on_release after the waiting count grew by the run's
+// jobs, on_complete after the machine freed, on_advance with the positive
+// clock delta — and that each of on_release, on_complete and on_start
+// moves state_version() by exactly one.
 class CountingPolicy : public Policy {
  public:
+  void reset(const PolicyView& view) override {
+    version = view.state_version();
+    released.assign(view.num_orgs(), 0);
+  }
   OrgId select(const PolicyView& view) override {
     ++selects;
     for (OrgId u = 0; u < view.num_orgs(); ++u) {
@@ -449,11 +457,19 @@ class CountingPolicy : public Policy {
   }
   void on_release(const PolicyView& view, OrgId org) override {
     ++releases;
-    EXPECT_GT(view.waiting(org), 0u);
+    heard(view);
+    // Every job of org released so far is waiting, running or completed.
+    const std::uint32_t now_released =
+        view.waiting(org) + view.running(org) + view.completed(org);
+    EXPECT_GT(now_released, released[org]);
+    released_jobs += now_released - released[org];
+    longest_run = std::max(longest_run, now_released - released[org]);
+    released[org] = now_released;
   }
   void on_complete(const PolicyView& view, OrgId /*org*/,
                    MachineId /*machine*/) override {
     ++completes;
+    heard(view);
     EXPECT_GT(view.free_machines(), 0u);
   }
   void on_advance(const PolicyView& /*view*/, Time dt) override {
@@ -463,31 +479,56 @@ class CountingPolicy : public Policy {
   void on_start(const PolicyView& view, OrgId org, std::uint32_t /*index*/,
                 MachineId /*machine*/) override {
     ++starts;
+    heard(view);
     EXPECT_GT(view.running(org), 0u);
   }
 
   std::uint64_t selects = 0;
   std::uint64_t releases = 0;
+  std::uint64_t released_jobs = 0;
+  std::uint32_t longest_run = 0;
   std::uint64_t completes = 0;
   std::uint64_t starts = 0;
   Time advanced = 0;
+  std::uint64_t version = 0;
+  std::vector<std::uint32_t> released;
+
+ private:
+  void heard(const PolicyView& view) {
+    EXPECT_EQ(view.state_version(), version + 1);
+    version = view.state_version();
+  }
 };
 
 TEST(PushLifecycle, EveryEventAndStartIsDeliveredExactlyOnce) {
-  const Instance inst = random_instance(11);
-  const Time horizon = 120;
-  Engine engine(inst);
-  CountingPolicy policy;
-  engine.run(policy, horizon);
+  // The split-unit instance releases long same-time runs.
+  for (const bool split : {false, true}) {
+    const Instance inst =
+        split ? unit_piece_instance(11) : random_instance(11);
+    const Time horizon = 120;
+    Engine engine(inst);
+    CountingPolicy policy;
+    engine.run(policy, horizon);
 
-  // One notification per processed event, one on_start per decision, and
-  // the advance deltas telescope over the whole run.
-  EXPECT_EQ(policy.releases + policy.completes, engine.events_processed());
-  EXPECT_EQ(policy.starts, engine.decisions_made());
-  EXPECT_EQ(policy.selects, policy.starts);
-  EXPECT_EQ(policy.advanced, horizon);
-  EXPECT_GT(policy.releases, 0u);
-  EXPECT_GT(policy.completes, 0u);
+    // Every released job and every completion is one processed event; one
+    // release notification per same-time run, one on_start per decision,
+    // the version counts exactly the notifications heard, and the advance
+    // deltas telescope over the whole run.
+    EXPECT_EQ(policy.released_jobs + policy.completes,
+              engine.events_processed())
+        << "split=" << split;
+    EXPECT_EQ(policy.releases + policy.completes + policy.starts,
+              engine.state_version())
+        << "split=" << split;
+    EXPECT_EQ(policy.starts, engine.decisions_made()) << "split=" << split;
+    EXPECT_EQ(policy.selects, policy.starts) << "split=" << split;
+    EXPECT_EQ(policy.advanced, horizon) << "split=" << split;
+    EXPECT_GT(policy.releases, 0u) << "split=" << split;
+    EXPECT_GT(policy.completes, 0u) << "split=" << split;
+    if (split) {
+      EXPECT_GT(policy.longest_run, 1u);
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "fixtures.h"
+#include "sched/algorithm.h"
 #include "metrics/fairness.h"
 #include "metrics/utility.h"
 #include "sched/fcfs.h"
@@ -140,6 +141,29 @@ TEST(Rand, ProducesFeasibleGreedySchedule) {
   RandScheduler rand(inst, RandOptions{15, 7});
   rand.run(1500);
   EXPECT_EQ(rand.schedule().validate(inst, 1500), std::nullopt);
+}
+
+// take_schedule moves the grand placements out and leaves every other
+// result readable; RandAlgorithm hands the moved-out schedule on.
+TEST(Rand, TakeScheduleMovesTheGrandPlacementsOut) {
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 4, 1500, MachineSplit::kZipf, 1.0, 51);
+  RandScheduler rand(inst, RandOptions{15, 7});
+  rand.run(1500);
+  const std::vector<Placement> before = rand.schedule().placements();
+  const std::vector<HalfUtil> utilities = rand.utilities2();
+  const std::int64_t work = rand.work_done();
+  ASSERT_FALSE(before.empty());
+  const Schedule taken = rand.take_schedule();
+  EXPECT_EQ(taken.placements(), before);
+  EXPECT_TRUE(rand.schedule().placements().empty());
+  EXPECT_EQ(rand.utilities2(), utilities);
+  EXPECT_EQ(rand.work_done(), work);
+
+  const RunResult result = RandAlgorithm(15).run(inst, 1500, 7);
+  EXPECT_EQ(result.schedule.placements(), before);
+  EXPECT_EQ(result.utilities2, utilities);
+  EXPECT_EQ(result.work_done, work);
 }
 
 TEST(Rand, UtilitiesMatchClosedForm) {

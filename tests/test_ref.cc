@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fixtures.h"
+#include "sched/algorithm.h"
 #include "metrics/utility.h"
 #include "workload/synthetic.h"
 
@@ -31,6 +32,29 @@ TEST(Ref, GrandScheduleFeasibleAndGreedy) {
   RefScheduler ref(inst);
   ref.run(2000);
   EXPECT_EQ(ref.schedule().validate(inst, 2000), std::nullopt);
+}
+
+// take_schedule moves the grand placements out and leaves every other
+// result readable; RefAlgorithm hands the moved-out schedule on.
+TEST(Ref, TakeScheduleMovesTheGrandPlacementsOut) {
+  const Instance inst = make_synthetic_instance(
+      preset_lpc_egee(), 4, 2000, MachineSplit::kZipf, 1.0, 31);
+  RefScheduler ref(inst);
+  ref.run(2000);
+  const std::vector<Placement> before = ref.schedule().placements();
+  const std::vector<HalfUtil> utilities = ref.utilities2();
+  const std::int64_t work = ref.reference_work();
+  ASSERT_FALSE(before.empty());
+  const Schedule taken = ref.take_schedule();
+  EXPECT_EQ(taken.placements(), before);
+  EXPECT_TRUE(ref.schedule().placements().empty());
+  EXPECT_EQ(ref.utilities2(), utilities);
+  EXPECT_EQ(ref.reference_work(), work);
+
+  const RunResult result = RefAlgorithm().run(inst, 2000, 0);
+  EXPECT_EQ(result.schedule.placements(), before);
+  EXPECT_EQ(result.utilities2, utilities);
+  EXPECT_EQ(result.work_done, work);
 }
 
 TEST(Ref, AllSubcoalitionSchedulesFeasible) {

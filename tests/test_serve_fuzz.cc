@@ -179,6 +179,42 @@ TEST(ServeFuzzTest, SingleOrgSingleMachine) {
   EXPECT_EQ(report.peak_resident_orgs, 1u);
 }
 
+// Same-time bursts reach the session as one release notification per
+// organization; each organization still counts as resident once, and
+// leaves when its last job completes.
+TEST(ServeFuzzTest, MultiJobBurstsCountEachOrgResidentOnce) {
+  FuzzTrace trace;
+  trace.machines = {1, 1};
+  for (int i = 0; i < 3; ++i) trace.events.push_back(JobEvent{0, 0, 1});
+  for (int i = 0; i < 2; ++i) trace.events.push_back(JobEvent{0, 1, 1});
+  // Org 0 drains by t=3 and comes back with another burst.
+  for (int i = 0; i < 2; ++i) trace.events.push_back(JobEvent{10, 0, 1});
+  std::ostringstream out;
+  serve::write_trace_header(out, trace.machines);
+  for (const JobEvent& event : trace.events) {
+    serve::write_job_line(out, event);
+  }
+  trace.text = out.str();
+  for (const std::string policy : {"fcfs", "fairshare"}) {
+    const ServeReport report = run_and_check(trace, policy, 3);
+    EXPECT_EQ(report.peak_resident_orgs, 2u) << policy;
+    EXPECT_EQ(report.peak_resident_jobs, 5u) << policy;
+  }
+
+  // After the drain no organization is resident.
+  std::istringstream in(trace.text);
+  TraceEventSource source(in, "burst");
+  std::ostringstream stats;
+  ServeOptions options;
+  options.stats = &stats;
+  ServeSession session(source.machines(),
+                       PolicyRegistry::global().make_policy("fcfs", 3),
+                       options);
+  session.run(source);
+  EXPECT_NE(stats.str().find(" resident-orgs=0 "), std::string::npos)
+      << stats.str();
+}
+
 TEST(ServeFuzzTest, LiveInstanceMatchesBuilderFieldForField) {
   for (std::uint64_t seed = 100; seed < 112; ++seed) {
     const FuzzTrace trace = make_fuzz_trace(seed);
