@@ -7,11 +7,13 @@ Runs `fairsched_exp ref-scaling --min-orgs=k --max-orgs=k --instances=1
 --threads=1 --no-cache` at k=8 and k=11 and fails (exit 1) when the k=11
 run's peak RSS exceeds the k=8 run's by more than 5 MB.
 
-REF (src/sched/ref.h) frees each subcoalition's schedule when that
-coalition's run ends, so going from 8 to 11 organizations (255 to 2047
+Under the psi_sp rule REF (src/sched/ref.h) records placements for the
+grand coalition only; its proper subcoalitions keep counters and value
+steps, never a schedule. So going from 8 to 11 organizations (255 to 2047
 coalitions) adds only the engines' fixed state and their value steps:
-1-2 MB on a Release build. Keeping every subcoalition schedule resident
-until run() returns adds about 9 MB, which this gate catches.
+about 1 MB on a Release build. Recording every subcoalition's schedule
+and keeping it until run() returns adds about 8 MB, which this gate
+catches.
 The difference of two runs of one binary cancels the process's fixed
 footprint (code, allocator, instance), so the bound carries across hosts.
 

@@ -6,28 +6,11 @@
 
 namespace fairsched {
 
-void Schedule::add(const Placement& p) {
-  placements_.push_back(p);
-  if (p.org >= starts_.size()) starts_.resize(p.org + 1);
-  auto& org_starts = starts_[p.org];
-  // Engines start each organization's jobs in FIFO order, so a placement
-  // almost always appends. Any other index overwrites a start or leaves
-  // kNoTime gaps before it.
-  if (p.index == org_starts.size()) {
-    org_starts.push_back(p.start);
-    return;
-  }
-  if (p.index > org_starts.size()) org_starts.resize(p.index + 1, kNoTime);
-  org_starts[p.index] = p.start;
-}
-
 std::optional<Time> Schedule::start_of(OrgId org, std::uint32_t index) const {
-  if (org >= starts_.size() || index >= starts_[org].size()) {
-    return std::nullopt;
+  for (auto p = placements_.rbegin(); p != placements_.rend(); ++p) {
+    if (p->org == org && p->index == index) return p->start;
   }
-  const Time s = starts_[org][index];
-  if (s == kNoTime) return std::nullopt;
-  return s;
+  return std::nullopt;
 }
 
 std::optional<Time> Schedule::completion_of(const Instance& inst, OrgId org,
@@ -37,8 +20,29 @@ std::optional<Time> Schedule::completion_of(const Instance& inst, OrgId org,
   return *s + inst.job(org, index).processing;
 }
 
+std::uint32_t Schedule::num_started(OrgId org) const {
+  std::uint32_t end = 0;
+  for (const Placement& p : placements_) {
+    if (p.org == org) end = std::max(end, p.index + 1);
+  }
+  return end;
+}
+
+std::optional<std::string> Schedule::check_known_jobs(
+    const Instance& inst) const {
+  for (const Placement& p : placements_) {
+    if (p.org >= inst.num_orgs() || p.index >= inst.jobs_of(p.org).size()) {
+      std::ostringstream msg;
+      msg << "placement of unknown job (" << p.org << "," << p.index << ")";
+      return msg.str();
+    }
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> Schedule::check_machine_exclusive(
     const Instance& inst) const {
+  if (auto err = check_known_jobs(inst)) return err;
   // Group placements per machine and sort by start.
   std::map<MachineId, std::vector<const Placement*>> per_machine;
   for (const Placement& p : placements_) {
@@ -68,39 +72,47 @@ std::optional<std::string> Schedule::check_machine_exclusive(
 }
 
 std::optional<std::string> Schedule::check_fifo(const Instance& inst) const {
+  if (auto err = check_known_jobs(inst)) return err;
+  // starts[u][i]: start time of job (u, i), kNoTime while unplaced.
+  std::vector<std::vector<Time>> starts(inst.num_orgs());
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    starts[u].assign(inst.jobs_of(u).size(), kNoTime);
+  }
+  for (const Placement& p : placements_) {
+    Time& start = starts[p.org][p.index];
+    if (start != kNoTime) {
+      std::ostringstream msg;
+      msg << "org " << p.org << ": job " << p.index << " placed twice (at "
+          << start << " and " << p.start << ")";
+      return msg.str();
+    }
+    start = p.start;
+  }
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     const auto jobs = inst.jobs_of(u);
-    static const std::vector<Time> kEmptyStarts;
-    const auto& org_starts = u < starts_.size() ? starts_[u] : kEmptyStarts;
-    Time prev_start = kNoTime;
-    bool gap_seen = false;
     for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-      const bool started = i < org_starts.size() && org_starts[i] != kNoTime;
-      if (!started) {
-        gap_seen = true;
-        continue;
-      }
-      if (gap_seen) {
+      const Time s = starts[u][i];
+      if (s == kNoTime) continue;
+      // The first start after a gap has an unstarted predecessor.
+      if (i > 0 && starts[u][i - 1] == kNoTime) {
         std::ostringstream msg;
         msg << "org " << u << ": job " << i
             << " started although an earlier job of the same organization "
                "was never started (FIFO prefix violated)";
         return msg.str();
       }
-      const Time s = org_starts[i];
       if (s < jobs[i].release) {
         std::ostringstream msg;
         msg << "org " << u << ": job " << i << " started at " << s
             << " before its release " << jobs[i].release;
         return msg.str();
       }
-      if (prev_start != kNoTime && s < prev_start) {
+      if (i > 0 && s < starts[u][i - 1]) {
         std::ostringstream msg;
         msg << "org " << u << ": job " << i << " starts at " << s
             << " before job " << i - 1 << " (FIFO order violated)";
         return msg.str();
       }
-      prev_start = s;
     }
   }
   return std::nullopt;
@@ -108,6 +120,7 @@ std::optional<std::string> Schedule::check_fifo(const Instance& inst) const {
 
 std::optional<std::string> Schedule::check_greedy(const Instance& inst,
                                                   Time horizon) const {
+  if (auto err = check_known_jobs(inst)) return err;
   // Event sweep. State changes only at releases, starts and completions;
   // greediness is evaluated just after each event time.
   struct Event {

@@ -27,12 +27,14 @@ struct Placement {
   friend bool operator==(const Placement&, const Placement&) = default;
 };
 
+// The placements in the order they were added (an engine's decision
+// order). That order is the only representation: readers that need a job's
+// start scan for it.
 class Schedule {
  public:
-  Schedule() = default;
-  explicit Schedule(std::uint32_t num_orgs) : starts_(num_orgs) {}
-
-  void add(const Placement& p);
+  void add(const Placement& p) { placements_.push_back(p); }
+  // Empties the schedule and keeps its capacity (for a reused recorder).
+  void clear() { placements_.clear(); }
 
   // Pre-sizes the placement list (performance hint for engines that know
   // the job count up front).
@@ -41,18 +43,17 @@ class Schedule {
   const std::vector<Placement>& placements() const { return placements_; }
   std::size_t size() const { return placements_.size(); }
 
-  // Start time of job (org, index), if it was started.
+  // Start time of job (org, index), if it was started (the latest
+  // placement wins). Linear scan.
   std::optional<Time> start_of(OrgId org, std::uint32_t index) const;
 
-  // Completion time given the instance's processing times.
+  // Completion time given the instance's processing times. Linear scan.
   std::optional<Time> completion_of(const Instance& inst, OrgId org,
                                     std::uint32_t index) const;
 
-  std::uint32_t num_started(OrgId org) const {
-    return org < starts_.size()
-               ? static_cast<std::uint32_t>(starts_[org].size())
-               : 0;
-  }
+  // One past the highest index started for `org` (the number of started
+  // jobs when the organization's starts form a FIFO prefix). Linear scan.
+  std::uint32_t num_started(OrgId org) const;
 
   // --- Validators -------------------------------------------------------
   // Each returns std::nullopt when the invariant holds, otherwise a
@@ -63,10 +64,11 @@ class Schedule {
   std::optional<std::string> check_machine_exclusive(
       const Instance& inst) const;
 
-  // FIFO: within each organization, start times are non-decreasing in job
-  // index, every started job was released, and no job is started before a
-  // lower-indexed one of the same organization remains unstarted forever
-  // while this one runs (prefix property).
+  // FIFO: each job is placed at most once, within each organization start
+  // times are non-decreasing in job index, every started job was released,
+  // and no job is started before a lower-indexed one of the same
+  // organization remains unstarted forever while this one runs (prefix
+  // property).
   std::optional<std::string> check_fifo(const Instance& inst) const;
 
   // Greediness up to `horizon`: at any moment some machine is idle only if
@@ -75,14 +77,17 @@ class Schedule {
                                           Time horizon) const;
 
   // All three checks; nullopt if the schedule is a feasible greedy schedule.
+  // Each check first rejects a placement of a job the instance does not
+  // have.
   std::optional<std::string> validate(const Instance& inst,
                                       Time horizon) const;
 
  private:
+  // The first placement naming an organization or job index outside
+  // `inst`, described; every check runs it before looking a job up.
+  std::optional<std::string> check_known_jobs(const Instance& inst) const;
+
   std::vector<Placement> placements_;
-  // starts_[org][index] = start time (kNoTime when index gap, which FIFO
-  // checking reports).
-  std::vector<std::vector<Time>> starts_;
 };
 
 }  // namespace fairsched

@@ -199,8 +199,8 @@ SweepResult ThreadPoolExecutor::execute(const SweepPlan& plan,
         record.seed = seed;
         record.wall_ms = elapsed_ms(t0);
         record.work_done = r.work_done;
-        record.utilization =
-            resource_utilization(exec_instance, r.schedule, horizon);
+        record.utilization = utilization_ratio(
+            r.work_done, exec_instance.total_machines(), horizon);
         if (is_strategy) {
           // Grades the schedule against true job sizes and corrects the
           // deviator's utility in r.utilities2 (misreport), so the

@@ -1280,7 +1280,8 @@ double run_priority(const Instance& inst, OrgId pref, Time horizon) {
   Engine e(inst);
   PriorityPolicy policy(pref);
   e.run(policy, horizon);
-  return resource_utilization(inst, e.schedule(), horizon);
+  return utilization_ratio(e.total_work_done(), inst.total_machines(),
+                           horizon);
 }
 
 }  // namespace
@@ -1379,7 +1380,8 @@ int run_utilization_scenario(const ScenarioOptions& options) {
     for (const char* alg : {"fcfs", "roundrobin", "fairshare"}) {
       const RunResult r =
           PolicyRegistry::global().run(inst, alg, horizon, seed);
-      const double util = resource_utilization(inst, r.schedule, horizon);
+      const double util =
+          utilization_ratio(r.work_done, inst.total_machines(), horizon);
       lo = std::min(lo, util);
       hi = std::max(hi, util);
     }

@@ -25,11 +25,10 @@ HalfUtil sp_job_half_utility_bruteforce(Time start, Time processing, Time t) {
 HalfUtil sp_org_half_utility(const Instance& inst, const Schedule& schedule,
                              OrgId org, Time t) {
   HalfUtil total = 0;
-  const auto jobs = inst.jobs_of(org);
-  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-    if (auto s = schedule.start_of(org, i)) {
-      total += sp_job_half_utility(*s, jobs[i].processing, t);
-    }
+  for (const Placement& p : schedule.placements()) {
+    if (p.org != org) continue;
+    total += sp_job_half_utility(p.start, inst.job(p.org, p.index).processing,
+                                 t);
   }
   return total;
 }
@@ -37,8 +36,9 @@ HalfUtil sp_org_half_utility(const Instance& inst, const Schedule& schedule,
 std::vector<HalfUtil> sp_half_utilities(const Instance& inst,
                                         const Schedule& schedule, Time t) {
   std::vector<HalfUtil> out(inst.num_orgs(), 0);
-  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    out[u] = sp_org_half_utility(inst, schedule, u, t);
+  for (const Placement& p : schedule.placements()) {
+    out[p.org] +=
+        sp_job_half_utility(p.start, inst.job(p.org, p.index).processing, t);
   }
   return out;
 }
@@ -46,8 +46,9 @@ std::vector<HalfUtil> sp_half_utilities(const Instance& inst,
 HalfUtil sp_half_value(const Instance& inst, const Schedule& schedule,
                        Time t) {
   HalfUtil total = 0;
-  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    total += sp_org_half_utility(inst, schedule, u, t);
+  for (const Placement& p : schedule.placements()) {
+    total +=
+        sp_job_half_utility(p.start, inst.job(p.org, p.index).processing, t);
   }
   return total;
 }
@@ -116,12 +117,16 @@ std::int64_t completed_work(const Instance& inst, const Schedule& schedule,
   return total;
 }
 
+double utilization_ratio(std::int64_t work, std::uint32_t machines, Time t) {
+  if (t <= 0 || machines == 0) return 0.0;
+  return static_cast<double>(work) /
+         (static_cast<double>(machines) * static_cast<double>(t));
+}
+
 double resource_utilization(const Instance& inst, const Schedule& schedule,
                             Time t) {
-  if (t <= 0 || inst.total_machines() == 0) return 0.0;
-  return static_cast<double>(completed_work(inst, schedule, t)) /
-         (static_cast<double>(inst.total_machines()) *
-          static_cast<double>(t));
+  return utilization_ratio(completed_work(inst, schedule, t),
+                           inst.total_machines(), t);
 }
 
 }  // namespace fairsched

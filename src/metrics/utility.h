@@ -84,7 +84,12 @@ std::int64_t total_tardiness(const Instance& inst, const Schedule& schedule,
 std::int64_t completed_work(const Instance& inst, const Schedule& schedule,
                             Time t);
 
-// Resource utilization in [0, 1]: completed_work / (machines * t).
+// Resource utilization in [0, 1]: work / (machines * t), 0 when t <= 0 or
+// there are no machines. Runs that already hold their completed work
+// (RunResult::work_done) read it through this without a schedule scan.
+double utilization_ratio(std::int64_t work, std::uint32_t machines, Time t);
+
+// utilization_ratio of the schedule's completed_work on inst's machines.
 double resource_utilization(const Instance& inst, const Schedule& schedule,
                             Time t);
 

@@ -13,10 +13,10 @@ RunResult PolicyAlgorithm::run(const Instance& inst, Time horizon,
   EngineOptions options = options_;
   options.seed = seed;
   Engine engine(inst, options);
+  RunResult result;
+  engine.record_into(&result.schedule);
   std::unique_ptr<Policy> policy = maker_(seed);
   engine.run(*policy, horizon);
-  RunResult result;
-  result.schedule = engine.take_schedule();
   result.utilities2.resize(inst.num_orgs());
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     result.utilities2[u] = engine.psi2(u);

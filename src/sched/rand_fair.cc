@@ -126,6 +126,7 @@ std::vector<double> RandScheduler::contributions2() const {
 void RandScheduler::run(Time horizon) {
   if (ran_) throw std::logic_error("RandScheduler::run called twice");
   ran_ = true;
+  grand_->record_into(&schedule_);
   for (;;) {
     const Time t = grand_->next_decision_time();
     if (t == kTimeInfinity || t >= horizon) break;
@@ -151,6 +152,7 @@ void RandScheduler::run(Time horizon) {
     }
   }
   grand_->advance_to(horizon);
+  grand_->record_into(nullptr);
   advance_curves(horizon);
 }
 

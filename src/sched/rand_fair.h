@@ -27,6 +27,7 @@
 #include <memory>
 #include <queue>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/coalition.h"
@@ -91,10 +92,11 @@ class RandScheduler {
 
   void run(Time horizon);
 
-  const Schedule& schedule() const { return grand_->schedule(); }
-  // Moves the grand schedule out (Engine::take_schedule); schedule() reads
-  // empty afterwards, every other result stays valid.
-  Schedule take_schedule() { return grand_->take_schedule(); }
+  // The grand engine's placements, recorded by run().
+  const Schedule& schedule() const { return schedule_; }
+  // Moves the grand schedule out; schedule() reads empty afterwards, every
+  // other result stays valid.
+  Schedule take_schedule() { return std::exchange(schedule_, Schedule()); }
   std::vector<HalfUtil> utilities2() const;
   std::int64_t work_done() const { return grand_->total_work_done(); }
   // Estimated contributions phi (time units) at the current clock.
@@ -119,6 +121,7 @@ class RandScheduler {
   const Instance* inst_;
   RandOptions options_;
   std::unique_ptr<Engine> grand_;
+  Schedule schedule_;
   // Distinct nonempty sampled coalitions, ascending by mask.
   std::vector<FcfsValueCurve> curves_;
   // Per organization: one pair per permutation, in draw order.

@@ -16,14 +16,10 @@ double CompletedWorkUtilityFn::eval(const Instance& inst,
                                     const Schedule& schedule, OrgId org,
                                     Time t) const {
   double total = 0.0;
-  const auto jobs = inst.jobs_of(org);
-  for (std::uint32_t i = 0; i < jobs.size(); ++i) {
-    if (auto s = schedule.start_of(org, i)) {
-      if (*s < t) {
-        total += static_cast<double>(
-            std::min<Time>(jobs[i].processing, t - *s));
-      }
-    }
+  for (const Placement& p : schedule.placements()) {
+    if (p.org != org || p.start >= t) continue;
+    total += static_cast<double>(
+        std::min<Time>(inst.job(p.org, p.index).processing, t - p.start));
   }
   return total;
 }
@@ -38,6 +34,7 @@ RefScheduler::RefScheduler(const Instance& inst, RefOptions options)
         "algorithm (max 16)");
   }
   engines_.resize(std::size_t{1} << k);
+  schedules_.resize(engines_.size());
   vcache_.assign(engines_.size(), 0.0);
   weights_.reserve(k);
   for (std::uint32_t s = 1; s <= k; ++s) weights_.emplace_back(s);
@@ -88,12 +85,11 @@ double RefScheduler::generic_distance(Coalition c, OrgId u, Time t,
   // Tentatively start u's front job at t and evaluate the utility delta one
   // step ahead (at t; for psi_sp and any non-clairvoyant utility the value
   // at t itself cannot change by starting a job at t).
-  Schedule tentative = e.schedule();
-  const std::uint32_t index = e.completed(u) + e.running(u);
-  tentative.add(Placement{u, index, t, kNoMachine});
-  const double delta =
-      util.eval(*inst_, tentative, u, t + 1) -
-      util.eval(*inst_, e.schedule(), u, t + 1);
+  const Schedule& schedule = schedules_[c.mask()];
+  Schedule tentative = schedule;
+  tentative.add(Placement{u, e.started(u), t, kNoMachine});
+  const double delta = util.eval(*inst_, tentative, u, t + 1) -
+                       util.eval(*inst_, schedule, u, t + 1);
   const double s = static_cast<double>(c.size());
   double dist = std::abs(phi[u] + delta / s - psi[u] - delta);
   for (OrgId v = 0; v < inst_->num_orgs(); ++v) {
@@ -137,7 +133,7 @@ OrgId RefScheduler::select_generic(Coalition c, Time t) {
     double v_sub = 0.0;
     for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
       if (sub.contains(u)) {
-        v_sub += util.eval(*inst_, engines_[sub.mask()]->schedule(), u, t);
+        v_sub += util.eval(*inst_, schedules_[sub.mask()], u, t);
       }
     }
     const double weight = w.weight(sub.size());
@@ -148,8 +144,7 @@ OrgId RefScheduler::select_generic(Coalition c, Time t) {
       if (!without.is_empty()) {
         for (OrgId x = 0; x < inst_->num_orgs(); ++x) {
           if (without.contains(x)) {
-            v_without +=
-                util.eval(*inst_, engines_[without.mask()]->schedule(), x, t);
+            v_without += util.eval(*inst_, schedules_[without.mask()], x, t);
           }
         }
       }
@@ -158,7 +153,7 @@ OrgId RefScheduler::select_generic(Coalition c, Time t) {
   });
   for (OrgId u = 0; u < inst_->num_orgs(); ++u) {
     if (c.contains(u)) {
-      psi[u] = util.eval(*inst_, e.schedule(), u, t);
+      psi[u] = util.eval(*inst_, schedules_[c.mask()], u, t);
     }
   }
   OrgId best = kNoOrg;
@@ -236,6 +231,15 @@ void RefScheduler::process_coalition_at(Coalition c, Time t) {
 void RefScheduler::run_coalition(Coalition c, Time horizon) {
   engines_[c.mask()] = std::make_unique<Engine>(*inst_, c);
   Engine& e = *engines_[c.mask()];
+  // Placements are recorded only where they are read (ref.h header note).
+  Schedule* schedule = nullptr;
+  if (c == grand_ || options_.generic_utility != nullptr) {
+    schedule = &schedules_[c.mask()];
+  } else if (options_.on_coalition_finished) {
+    observed_.clear();
+    schedule = &observed_;
+  }
+  e.record_into(schedule);
   // Only the psi_sp rule reads value steps, and only supersets read them.
   std::vector<ValueStep>* steps =
       options_.generic_utility == nullptr && c != grand_ ? &steps_[c.mask()]
@@ -259,10 +263,10 @@ void RefScheduler::run_coalition(Coalition c, Time horizon) {
   // drop the vector's growth slack to lower REF's peak memory.
   if (steps != nullptr) steps->shrink_to_fit();
   e.advance_to(horizon);
-  if (options_.on_coalition_finished) options_.on_coalition_finished(c, e);
-  // Supersets read only the value steps (kept exactly when `steps` is
-  // set), so the schedule is freed here.
-  if (steps != nullptr) e.take_schedule();
+  e.record_into(nullptr);
+  if (options_.on_coalition_finished) {
+    options_.on_coalition_finished(c, e, *schedule);
+  }
 }
 
 void RefScheduler::run(Time horizon) {

@@ -32,19 +32,20 @@
 // reuse it; Prop. 3.4 aggregate: O(k * 3^k) per time moment), with each
 // subcoalition value an amortized O(1) cursor read.
 //
-// Memory: each coalition's engine is built when its run starts. When the
-// run ends, RefOptions::on_coalition_finished (if set) sees the finished
-// engine, and then a proper subcoalition's schedule is freed: supersets
-// read only its value steps. So at most one subcoalition schedule is live
-// next to the grand coalition's, which is REF's result. The engines stay,
-// without schedules, for their counters and final values (engine(c),
-// contributions()), as do 16 bytes per value step until run() returns.
-// The generic rule reads subcoalition schedules while supersets run, so
-// under it every schedule stays. The constructor rejects k > 16.
+// Memory: each coalition's engine is built when its run starts and stays
+// for its counters and final values (engine(c), contributions()); value
+// steps stay, 16 bytes each, until run() returns. Placements are recorded
+// (Engine::record_into) only where they are read: the grand coalition's are
+// REF's result; under the generic rule, which reads subcoalition schedules
+// while supersets run, every coalition keeps its own; under the psi_sp rule
+// a proper subcoalition records only for RefOptions::on_coalition_finished,
+// into one scratch schedule reused across coalitions. The constructor
+// rejects k > 16.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/coalition.h"
@@ -91,10 +92,12 @@ struct RefOptions {
   // accounting.
   const UtilityFunction* generic_utility = nullptr;
   // Opt-in observer: called once per coalition, grand included, in
-  // ascending mask order, when its run to the horizon ends. The engine
-  // still holds the coalition's full schedule here; under the psi_sp rule
-  // a proper subcoalition's schedule is freed right after the call.
-  std::function<void(Coalition, const Engine&)> on_coalition_finished;
+  // ascending mask order, when its run to the horizon ends, with the
+  // finished engine and the coalition's full schedule. Setting it is what
+  // makes proper subcoalitions record under the psi_sp rule; their schedule
+  // is REF's scratch recorder, valid only during the call.
+  std::function<void(Coalition, const Engine&, const Schedule&)>
+      on_coalition_finished;
 };
 
 class RefScheduler {
@@ -107,11 +110,12 @@ class RefScheduler {
   void run(Time horizon);
 
   // --- results (valid after run) -----------------------------------------
-  const Schedule& schedule() const { return grand_engine().schedule(); }
-  // Moves the grand schedule out (Engine::take_schedule); schedule() reads
-  // empty afterwards, every other result stays valid.
+  // The grand coalition's placements: the fair schedule.
+  const Schedule& schedule() const { return schedules_[grand_.mask()]; }
+  // Moves the grand schedule out; schedule() reads empty afterwards, every
+  // other result stays valid.
   Schedule take_schedule() {
-    return engines_[grand_.mask()]->take_schedule();
+    return std::exchange(schedules_[grand_.mask()], Schedule());
   }
   // The reference fair utility vector psi* (2*psi per organization).
   std::vector<HalfUtil> utilities2() const;
@@ -121,10 +125,9 @@ class RefScheduler {
   // horizon — the ideal fair division REF chases.
   std::vector<double> contributions() const;
   // Any coalition's engine (diagnostics, tests): its counters and
-  // accounting stand at the horizon for every coalition, but only the
-  // grand coalition's keeps its schedule (under the generic rule, every
-  // one does). Read subcoalition schedules through
-  // RefOptions::on_coalition_finished.
+  // accounting stand at the horizon. Engines hold no placements: the grand
+  // coalition's are schedule(), and RefOptions::on_coalition_finished hands
+  // an observer every coalition's.
   const Engine& engine(Coalition c) const { return *engines_[c.mask()]; }
 
  private:
@@ -143,8 +146,8 @@ class RefScheduler {
   };
 
   // Builds coalition `c`'s engine and runs it to `horizon`, recording its
-  // value steps when a superset will read them; then notifies the observer
-  // and frees the schedule when no later coalition reads it.
+  // value steps when a superset will read them and its placements when
+  // something reads them; then notifies the observer.
   void run_coalition(Coalition c, Time horizon);
 
   // Processes coalition `c`'s due events at time t and makes its scheduling
@@ -181,6 +184,12 @@ class RefScheduler {
   // Indexed by mask; [0] stays null, the rest are built as their runs start.
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<ShapleyWeights> weights_;  // per coalition size 1..k
+  // Placements by mask: the grand coalition's and, under the generic rule,
+  // every coalition's; the rest stay empty.
+  std::vector<Schedule> schedules_;
+  // psi_sp rule with an observer: the scratch recorder each proper
+  // subcoalition reuses.
+  Schedule observed_;
   // Value steps and read cursors, indexed by mask; filled during run().
   std::vector<std::vector<ValueStep>> steps_;
   std::vector<ValueCursor> cursors_;

@@ -189,7 +189,7 @@ void ServeSession::run(EventSource& source) {
         throw std::logic_error(
             "policy selected an organization with no waiting job");
       }
-      const std::uint32_t index = engine_->schedule().num_started(u);
+      const std::uint32_t index = engine_->started(u);
       const MachineId m = engine_->start_front(u);
       policy_->on_start(view, u, index, m);
       report_.decision_latency.record(options_.clock_ns() - t0);

@@ -15,16 +15,13 @@ Engine::Engine(const Instance& inst, Coalition active, EngineOptions options)
       released_(inst.num_orgs(), 0),
       started_(inst.num_orgs(), 0),
       completed_(inst.num_orgs(), 0),
-      accounts_(inst.num_orgs()),
-      schedule_(inst.num_orgs()) {
+      accounts_(inst.num_orgs()) {
   if (options_.external_releases) injected_.assign(inst.num_orgs(), 0);
   const bool first_free = options_.machine_pick == MachinePick::kFirstFree;
   if (first_free) free_set_.init(inst.total_machines());
-  std::size_t release_count = 0;
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     if (!active_.contains(u)) continue;
     const auto jobs = inst.jobs_of(u);
-    release_count += jobs.size();
     // Streamed releases: the heap holds only each organization's earliest
     // un-admitted release, so it stays at ~(member orgs) entries instead of
     // the whole workload. Per-org job lists are release-sorted, so the
@@ -44,7 +41,6 @@ Engine::Engine(const Instance& inst, Coalition active, EngineOptions options)
       }
     }
   }
-  schedule_.reserve(release_count);
   free_machines_ = total_machines_;
 }
 
@@ -223,6 +219,17 @@ MachineId Engine::pick_machine() {
   return m;
 }
 
+void Engine::record_into(Schedule* target) {
+  recorder_ = target;
+  if (target == nullptr) return;
+  std::size_t unstarted = 0;
+  for (OrgId u = 0; u < num_orgs(); ++u) {
+    if (!active_.contains(u)) continue;
+    unstarted += inst_->jobs_of(u).size() - started_[u];
+  }
+  target->reserve(target->size() + unstarted);
+}
+
 MachineId Engine::start_front(OrgId u) {
   if (!active_.contains(u) || waiting(u) == 0) {
     throw std::logic_error("start_front: organization has no waiting job");
@@ -245,7 +252,7 @@ MachineId Engine::start_front(OrgId u) {
   accounts_[owner].busy_machines++;
   agg_.running++;
   completions_.push(Event{now_ + job.processing, u, index, m});
-  schedule_.add(Placement{u, index, now_, m});
+  if (recorder_ != nullptr) recorder_->add(Placement{u, index, now_, m});
   decisions_++;
   return m;
 }

@@ -87,6 +87,13 @@
 // incremental Policy API (sim/policy.h) are delivered. Manual drivers may
 // attach a listener themselves via attach().
 //
+// --- Recording placements ----------------------------------------------------
+//
+// The engine keeps counters, not placements. A consumer that reads
+// placements passes a Schedule to record_into(); start_front then appends
+// each Placement there, in decision order. It is a sink on the decision,
+// not a listener, because REF and RAND start jobs without any on_start.
+//
 // An engine can be restricted to a coalition: only member organizations'
 // machines exist and only their jobs arrive. Organization ids keep their
 // global numbering so ensemble drivers can aggregate without relabeling.
@@ -97,7 +104,6 @@
 
 #include <cstdint>
 #include <queue>
-#include <utility>
 #include <vector>
 
 #include "core/coalition.h"
@@ -179,6 +185,11 @@ class Engine {
   // Precondition: waiting(u) > 0 and a machine is free.
   MachineId start_front(OrgId u);
 
+  // Appends each later start's Placement to `target` (nullptr stops
+  // recording; header note), first reserving room for every member job not
+  // started yet. The target must outlive the recording.
+  void record_into(Schedule* target);
+
   // Runs `policy` until `horizon`: processes events in order, invoking the
   // policy at each decision point, then advances to exactly `horizon`.
   // Attaches `policy` for the duration, so it receives the push
@@ -210,6 +221,8 @@ class Engine {
   Time front_release(OrgId u) const {
     return inst_->job(u, started_[u]).release;
   }
+  // Jobs of u started so far: the FIFO index of u's next start.
+  std::uint32_t started(OrgId u) const { return started_[u]; }
   std::uint32_t waiting_total() const { return waiting_total_; }
   std::uint32_t running(OrgId u) const { return accounts_[u].running_jobs; }
   std::uint32_t completed(OrgId u) const { return completed_[u]; }
@@ -275,12 +288,6 @@ class Engine {
   HalfUtil value2() const { return agg_.value2_at(now_); }
   // Total completed unit parts (the paper's p_tot for this schedule). O(1).
   std::int64_t total_work_done() const { return agg_.work_at(now_); }
-
-  const Schedule& schedule() const { return schedule_; }
-  // Moves the schedule out, leaving this engine an empty one; counters and
-  // accounting are untouched. Drivers that keep a finished engine for its
-  // counters and values but not its placements free them this way (REF).
-  Schedule take_schedule() { return std::exchange(schedule_, Schedule()); }
 
   // --- instrumentation ----------------------------------------------------
   // Events processed (releases admitted + completions applied) so far.
@@ -405,9 +412,9 @@ class Engine {
   std::uint64_t notifications_ = 0;
   std::uint64_t decisions_ = 0;
   Policy* listener_ = nullptr;
+  Schedule* recorder_ = nullptr;
 
   Time now_ = 0;
-  Schedule schedule_;
 };
 
 // --- PolicyView ------------------------------------------------------------

@@ -120,7 +120,7 @@ inline void run_injected(Engine& engine, Policy& policy,
     engine.advance_to(td);
     while (engine.needs_decision()) {
       const OrgId u = policy.select(view);
-      const std::uint32_t index = engine.schedule().num_started(u);
+      const std::uint32_t index = engine.started(u);
       const MachineId m = engine.start_front(u);
       policy.on_start(view, u, index, m);
     }

@@ -162,7 +162,7 @@ TEST(EdgeCases, UtilityOfUnstartedJobsIsZero) {
   const OrgId a = b.add_org("a", 1);
   b.add_job(a, 100, 5);
   const Instance inst = std::move(b).build();
-  Schedule s(1);
+  Schedule s;
   EXPECT_EQ(sp_org_half_utility(inst, s, a, 50), 0);
   EXPECT_EQ(completed_work(inst, s, 50), 0);
   EXPECT_EQ(total_flow_time(inst, s, 50), 0);

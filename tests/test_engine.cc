@@ -43,8 +43,11 @@ class RecordingPolicy final : public Policy {
     friend bool operator==(const Note&, const Note&) = default;
   };
 
-  RecordingPolicy(const Engine& engine, Policy& inner)
-      : engine_(engine), inner_(inner), released_(engine.num_orgs(), 0) {}
+  // Records the engine's placements too: on_complete reads them.
+  RecordingPolicy(Engine& engine, Policy& inner)
+      : engine_(engine), inner_(inner), released_(engine.num_orgs(), 0) {
+    engine.record_into(&schedule_);
+  }
 
   void reset(const PolicyView& view) override { inner_.reset(view); }
   OrgId select(const PolicyView& view) override { return inner_.select(view); }
@@ -55,7 +58,7 @@ class RecordingPolicy final : public Policy {
   }
   void on_release(const PolicyView& view, OrgId org) override {
     const std::uint32_t released =
-        engine_.schedule().num_started(org) + engine_.waiting(org);
+        engine_.started(org) + engine_.waiting(org);
     notes_.push_back({kRelease, view.now(), org, released_[org], kNoMachine,
                       released - released_[org]});
     released_[org] = released;
@@ -67,7 +70,7 @@ class RecordingPolicy final : public Policy {
     // there whose end is now.
     const Instance& inst = engine_.instance();
     std::uint32_t index = 0;
-    for (const Placement& p : engine_.schedule().placements()) {
+    for (const Placement& p : schedule_.placements()) {
       if (p.org != org || p.machine != machine) continue;
       if (p.start + inst.job(org, p.index).processing == view.now()) {
         index = p.index;
@@ -82,6 +85,7 @@ class RecordingPolicy final : public Policy {
   }
 
   const std::vector<Note>& notes() const { return notes_; }
+  const Schedule& schedule() const { return schedule_; }
   // (kind, org, index, count) of a completion (count 1) or a release run
   // (index of its first job).
   using Event = std::tuple<Kind, OrgId, std::uint32_t, std::uint32_t>;
@@ -102,6 +106,7 @@ class RecordingPolicy final : public Policy {
   std::vector<Note> notes_;
   // Per organization: jobs released as of its last release notification.
   std::vector<std::uint32_t> released_;
+  Schedule schedule_;
 };
 
 // Unit and two-slot jobs (up to `max_processing` slots) released in [0, 8)
@@ -142,21 +147,63 @@ Instance small_instance() {
 TEST(Engine, ProducesFeasibleGreedySchedule) {
   const Instance inst = small_instance();
   Engine engine(inst);
+  Schedule schedule;
+  engine.record_into(&schedule);
   FcfsPolicy policy;
   engine.run(policy, 100);
-  EXPECT_EQ(engine.schedule().validate(inst, 100), std::nullopt);
-  EXPECT_EQ(engine.schedule().size(), inst.num_jobs());
+  EXPECT_EQ(schedule.validate(inst, 100), std::nullopt);
+  EXPECT_EQ(schedule.size(), inst.num_jobs());
+}
+
+// Only a start with a recording target set appends a placement, in
+// decision order; counters and accounting do not depend on recording.
+TEST(Engine, RecordsPlacementsOnlyWhileATargetIsSet) {
+  const Instance inst = small_instance();
+  const Time horizon = 25;
+  // Steps FCFS by hand to the horizon; recording stops from `stop` on.
+  auto drive = [&](Engine& engine, Schedule* schedule, Time stop) {
+    engine.record_into(schedule);
+    FcfsPolicy policy;
+    PolicyView view(engine);
+    for (;;) {
+      const Time t = engine.next_event();
+      if (t == kTimeInfinity || t >= horizon) break;
+      if (t >= stop) engine.record_into(nullptr);
+      engine.advance_to(t);
+      while (engine.needs_decision()) engine.start_front(policy.select(view));
+    }
+    engine.advance_to(horizon);
+  };
+  Engine full(inst), partial(inst), unrecorded(inst);
+  Schedule all, early;
+  drive(full, &all, horizon);
+  drive(partial, &early, 6);
+  drive(unrecorded, nullptr, horizon);
+
+  EXPECT_EQ(all.size(), full.decisions_made());
+  ASSERT_GT(early.size(), 0u);
+  ASSERT_LT(early.size(), all.size());
+  EXPECT_TRUE(std::equal(early.placements().begin(), early.placements().end(),
+                         all.placements().begin()));
+  for (const Engine* e : {&partial, &unrecorded}) {
+    EXPECT_EQ(e->decisions_made(), full.decisions_made());
+    EXPECT_EQ(e->events_processed(), full.events_processed());
+    EXPECT_EQ(e->value2(), full.value2());
+    EXPECT_EQ(e->total_work_done(), full.total_work_done());
+  }
 }
 
 TEST(Engine, AccruedUtilitiesMatchClosedFormOnSchedule) {
   const Instance inst = small_instance();
   for (Time horizon : {3, 5, 8, 11, 14, 50}) {
     Engine engine(inst);
+    Schedule schedule;
+    engine.record_into(&schedule);
     FcfsPolicy policy;
     engine.run(policy, horizon);
     for (OrgId u = 0; u < inst.num_orgs(); ++u) {
       EXPECT_EQ(engine.psi2(u),
-                sp_org_half_utility(inst, engine.schedule(), u, horizon))
+                sp_org_half_utility(inst, schedule, u, horizon))
           << "u=" << u << " horizon=" << horizon;
     }
   }
@@ -166,10 +213,12 @@ TEST(Engine, WorkDoneMatchesCompletedWork) {
   const Instance inst = small_instance();
   for (Time horizon : {4, 9, 40}) {
     Engine engine(inst);
+    Schedule schedule;
+    engine.record_into(&schedule);
     RoundRobinPolicy policy;
     engine.run(policy, horizon);
     EXPECT_EQ(engine.total_work_done(),
-              completed_work(inst, engine.schedule(), horizon));
+              completed_work(inst, schedule, horizon));
   }
 }
 
@@ -193,28 +242,6 @@ TEST(Engine, ContributionAccountingConserved) {
   EXPECT_EQ(psi_u, psi_c);
 }
 
-TEST(Engine, TakeScheduleLeavesCountersAndAccounting) {
-  const Instance inst = small_instance();
-  Engine engine(inst);
-  FcfsPolicy policy;
-  engine.run(policy, 25);
-  const std::vector<Placement> placements = engine.schedule().placements();
-  const std::uint64_t events = engine.events_processed();
-  const std::uint64_t decisions = engine.decisions_made();
-  const HalfUtil value2 = engine.value2();
-  const std::int64_t work = engine.total_work_done();
-  ASSERT_GT(decisions, 0u);
-
-  const Schedule taken = engine.take_schedule();
-  EXPECT_EQ(taken.placements(), placements);
-  EXPECT_EQ(engine.schedule().size(), 0u);
-  EXPECT_EQ(engine.schedule().num_started(0), 0u);
-  EXPECT_EQ(engine.events_processed(), events);
-  EXPECT_EQ(engine.decisions_made(), decisions);
-  EXPECT_EQ(engine.value2(), value2);
-  EXPECT_EQ(engine.total_work_done(), work);
-}
-
 TEST(Engine, HorizonTruncatesAccounting) {
   const Instance inst = small_instance();
   Engine early(inst), late(inst);
@@ -229,6 +256,8 @@ TEST(Engine, HorizonTruncatesAccounting) {
 TEST(Engine, CoalitionRestrictionUsesOnlyMemberResources) {
   const Instance inst = small_instance();
   Engine engine(inst, Coalition::singleton(0));
+  Schedule schedule;
+  engine.record_into(&schedule);
   FcfsPolicy policy;
   engine.run(policy, 100);
   EXPECT_EQ(engine.total_machines(), 1u);
@@ -237,9 +266,9 @@ TEST(Engine, CoalitionRestrictionUsesOnlyMemberResources) {
   EXPECT_EQ(engine.completed(1), 0u);
   EXPECT_EQ(engine.psi2(1), 0);
   // Org 0 alone on one machine: jobs back to back 0-4, 4-7, 7-12.
-  EXPECT_EQ(engine.schedule().start_of(0, 0), 0);
-  EXPECT_EQ(engine.schedule().start_of(0, 1), 4);
-  EXPECT_EQ(engine.schedule().start_of(0, 2), 7);
+  EXPECT_EQ(schedule.start_of(0, 0), 0);
+  EXPECT_EQ(schedule.start_of(0, 1), 4);
+  EXPECT_EQ(schedule.start_of(0, 2), 7);
 }
 
 TEST(Engine, PairCoalitionSharesMachines) {
@@ -254,6 +283,8 @@ TEST(Engine, PairCoalitionSharesMachines) {
 TEST(Engine, ManualSteppingMatchesRun) {
   const Instance inst = small_instance();
   Engine manual(inst);
+  Schedule manual_schedule;
+  manual.record_into(&manual_schedule);
   FcfsPolicy policy;
   PolicyView view(manual);
   const Time horizon = 40;
@@ -268,13 +299,15 @@ TEST(Engine, ManualSteppingMatchesRun) {
   manual.advance_to(horizon);
 
   Engine driven(inst);
+  Schedule driven_schedule;
+  driven.record_into(&driven_schedule);
   FcfsPolicy policy2;
   driven.run(policy2, horizon);
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     EXPECT_EQ(manual.psi2(u), driven.psi2(u));
   }
-  EXPECT_EQ(manual.schedule().placements().size(),
-            driven.schedule().placements().size());
+  EXPECT_EQ(manual_schedule.placements().size(),
+            driven_schedule.placements().size());
 }
 
 TEST(Engine, StartFrontPreconditionsEnforced) {
@@ -291,9 +324,11 @@ TEST(Engine, RandomMachinePickStillFeasible) {
   options.machine_pick = MachinePick::kRandomFree;
   options.seed = 7;
   Engine engine(inst, options);
+  Schedule schedule;
+  engine.record_into(&schedule);
   FcfsPolicy policy;
   engine.run(policy, 100);
-  EXPECT_EQ(engine.schedule().validate(inst, 100), std::nullopt);
+  EXPECT_EQ(schedule.validate(inst, 100), std::nullopt);
 }
 
 TEST(Engine, RandomMachinePickDeterministicPerSeed) {
@@ -303,10 +338,12 @@ TEST(Engine, RandomMachinePickDeterministicPerSeed) {
     options.machine_pick = MachinePick::kRandomFree;
     options.seed = seed;
     Engine engine(inst, options);
+    Schedule schedule;
+    engine.record_into(&schedule);
     FcfsPolicy policy;
     engine.run(policy, 100);
     std::vector<MachineId> machines;
-    for (const Placement& p : engine.schedule().placements()) {
+    for (const Placement& p : schedule.placements()) {
       machines.push_back(p.machine);
     }
     return machines;
@@ -438,8 +475,8 @@ TEST(Engine, ShuffledInjectionMatchesThePreloadedEngine) {
     fixtures::run_injected(injected, online, arrivals, horizon);
 
     EXPECT_EQ(online.notes(), batch.notes()) << "seed=" << seed;
-    EXPECT_EQ(injected.schedule().placements(),
-              preloaded.schedule().placements())
+    EXPECT_EQ(online.schedule().placements(),
+              batch.schedule().placements())
         << "seed=" << seed;
   }
 }
@@ -464,7 +501,7 @@ RecordedRun run_preloaded(const Instance& inst, Time horizon) {
   P inner;
   RecordingPolicy recorder(engine, inner);
   engine.run(recorder, horizon);
-  return {recorder.notes(), engine.schedule().placements(),
+  return {recorder.notes(), recorder.schedule().placements(),
           engine.events_processed()};
 }
 
@@ -477,7 +514,7 @@ RecordedRun run_through_heap(const Instance& inst, Time horizon) {
   RecordingPolicy recorder(engine, inner);
   fixtures::run_injected(engine, recorder, fixtures::arrivals_by_release(inst),
                          horizon);
-  return {recorder.notes(), engine.schedule().placements(),
+  return {recorder.notes(), recorder.schedule().placements(),
           engine.events_processed()};
 }
 
@@ -684,15 +721,16 @@ TEST(Engine, LargerSyntheticWorkloadStaysConsistent) {
                                                 MachineSplit::kZipf, 1.0, 99);
   const Time horizon = 4000;
   Engine engine(inst);
+  Schedule schedule;
+  engine.record_into(&schedule);
   FcfsPolicy policy;
   engine.run(policy, horizon);
-  EXPECT_EQ(engine.schedule().validate(inst, horizon), std::nullopt);
+  EXPECT_EQ(schedule.validate(inst, horizon), std::nullopt);
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    EXPECT_EQ(engine.psi2(u),
-              sp_org_half_utility(inst, engine.schedule(), u, horizon));
+    EXPECT_EQ(engine.psi2(u), sp_org_half_utility(inst, schedule, u, horizon));
   }
   EXPECT_EQ(engine.total_work_done(),
-            completed_work(inst, engine.schedule(), horizon));
+            completed_work(inst, schedule, horizon));
 }
 
 TEST(Engine, NoJobsMeansNoEvents) {

@@ -13,6 +13,7 @@
 #include "sched/rand_fair.h"
 #include "sched/ref.h"
 #include "exp/policy_registry.h"
+#include "strategy/deviation.h"
 #include "util/rng.h"
 
 namespace fairsched {
@@ -46,29 +47,69 @@ Instance random_instance(std::uint64_t seed, std::uint32_t max_orgs,
   return std::move(b).build();
 }
 
+// Config-defined compositions (a `switch =` and a `mix =` policy block),
+// registered once on the global registry before the first run.
+void register_fuzz_compositions() {
+  static const bool registered = [] {
+    exp::ConfigPolicyDef switched;
+    switched.name = "fuzzswitch";
+    switched.switch_policies = {"directcontr", "fairshare"};
+    switched.switch_at = "60";
+    exp::register_config_policy(registry(), switched);
+    exp::ConfigPolicyDef mixed;
+    mixed.name = "fuzzmix";
+    mixed.mixture = {{"fcfs", 1.0}, {"decayfairshare300", 2.0},
+                     {"roundrobin", 1.0}};
+    exp::register_config_policy(registry(), mixed);
+    return true;
+  }();
+  (void)registered;
+}
+
+// Runs `alg` on `inst`: the schedule must be a feasible greedy schedule,
+// and the reported utilities and work must equal the closed forms on it
+// (the executor takes utilization from RunResult::work_done alone).
+void expect_feasible_and_exact(const Instance& inst, const std::string& alg,
+                               std::uint64_t seed, const std::string& what) {
+  register_fuzz_compositions();
+  const Time horizon = 40 + static_cast<Time>(seed % 7) * 25;
+  const RunResult r = registry().run(inst, alg, horizon, seed);
+  // Feasibility: machine-exclusive, FIFO, greedy up to the horizon.
+  EXPECT_EQ(r.schedule.validate(inst, horizon), std::nullopt) << what;
+  // Reported utilities equal the Eq. 3 closed form on the schedule.
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    EXPECT_EQ(r.utilities2[u],
+              sp_org_half_utility(inst, r.schedule, u, horizon))
+        << what << " u=" << u;
+  }
+  // Work conservation.
+  EXPECT_EQ(r.work_done, completed_work(inst, r.schedule, horizon)) << what;
+  EXPECT_LE(r.work_done, inst.total_work());
+}
+
 using FuzzCase = std::tuple<std::string, std::uint64_t>;
 
 class AlgorithmFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(AlgorithmFuzz, ScheduleFeasibleAndAccountingExact) {
   const auto& [alg, seed] = GetParam();
-  const Instance inst = random_instance(seed, 4, false);
-  const Time horizon = 40 + static_cast<Time>(seed % 7) * 25;
-  const RunResult r = registry().run(inst, alg, horizon,
-                                    seed);
-  // Feasibility: machine-exclusive, FIFO, greedy up to the horizon.
-  EXPECT_EQ(r.schedule.validate(inst, horizon), std::nullopt)
-      << alg << " seed=" << seed;
-  // Reported utilities equal the Eq. 3 closed form on the schedule.
-  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    EXPECT_EQ(r.utilities2[u],
-              sp_org_half_utility(inst, r.schedule, u, horizon))
-        << alg << " seed=" << seed << " u=" << u;
-  }
-  // Work conservation.
-  EXPECT_EQ(r.work_done, completed_work(inst, r.schedule, horizon))
-      << alg << " seed=" << seed;
-  EXPECT_LE(r.work_done, inst.total_work());
+  expect_feasible_and_exact(random_instance(seed, 4, false), alg, seed,
+                            alg + " seed=" + std::to_string(seed));
+}
+
+// The declared instance of a misreporting organization (the instance a
+// strategy sweep schedules) is checked the same way.
+TEST_P(AlgorithmFuzz, MisreportDeclaredScheduleFeasibleAndAccountingExact) {
+  const auto& [alg, seed] = GetParam();
+  const Instance honest = random_instance(seed, 4, false);
+  const OrgId deviator = static_cast<OrgId>(seed % honest.num_orgs());
+  const Instance declared = strategy::apply_deviation(
+      honest, deviator,
+      strategy::parse_deviation(seed % 2 == 0 ? "misreport200"
+                                              : "misreport50"));
+  expect_feasible_and_exact(declared, alg, seed,
+                            alg + " seed=" + std::to_string(seed) +
+                                " deviator=" + std::to_string(deviator));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -76,7 +117,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values("roundrobin", "fairshare", "utfairshare",
                           "currfairshare", "decayfairshare300",
-                          "directcontr", "random", "fcfs", "rand7", "ref"),
+                          "directcontr", "random", "fcfs", "rand7", "ref",
+                          "fuzzswitch", "fuzzmix"),
         ::testing::Values<std::uint64_t>(1, 2, 3, 4, 5, 6)),
     [](const ::testing::TestParamInfo<FuzzCase>& info) {
       return std::get<0>(info.param) + "_s" +
@@ -90,18 +132,19 @@ TEST_P(RefFuzz, EveryCoalitionScheduleMatchesItsRestrictedWorld) {
   const std::uint64_t seed = GetParam();
   const Instance inst = random_instance(seed, 3, false);
   const Time horizon = 120;
-  // Subcoalition schedules are freed as REF goes, so each coalition is
-  // checked where the observer sees its finished engine.
+  // Proper subcoalitions record only for an observer, so each coalition is
+  // checked where the observer sees its finished engine and schedule.
   Coalition::Mask observed = 0;
   RefOptions options;
-  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
+  options.on_coalition_finished = [&](Coalition c, const Engine& e,
+                                      const Schedule& s) {
     ++observed;
     const Coalition::Mask mask = c.mask();
-    EXPECT_EQ(e.schedule().size(), e.decisions_made())
+    EXPECT_EQ(s.size(), e.decisions_made())
         << "seed=" << seed << " mask=" << mask;
-    EXPECT_EQ(e.schedule().check_machine_exclusive(inst), std::nullopt)
+    EXPECT_EQ(s.check_machine_exclusive(inst), std::nullopt)
         << "seed=" << seed << " mask=" << mask;
-    EXPECT_EQ(e.schedule().check_fifo(inst), std::nullopt)
+    EXPECT_EQ(s.check_fifo(inst), std::nullopt)
         << "seed=" << seed << " mask=" << mask;
     // Utilities of non-members must be zero; member utilities match the
     // closed form.
@@ -109,8 +152,7 @@ TEST_P(RefFuzz, EveryCoalitionScheduleMatchesItsRestrictedWorld) {
       if (!c.contains(u)) {
         EXPECT_EQ(e.psi2(u), 0) << "seed=" << seed << " mask=" << mask;
       } else {
-        EXPECT_EQ(e.psi2(u),
-                  sp_org_half_utility(inst, e.schedule(), u, horizon))
+        EXPECT_EQ(e.psi2(u), sp_org_half_utility(inst, s, u, horizon))
             << "seed=" << seed << " mask=" << mask << " u=" << u;
       }
     }

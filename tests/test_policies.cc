@@ -137,6 +137,8 @@ void expect_golden(const Instance& inst, std::uint64_t seed, Time horizon,
   options.machine_pick = MachinePick::kRandomFree;
   options.seed = seed;
   Engine engine(inst, options);
+  Schedule schedule;
+  engine.record_into(&schedule);
   DirectContrPolicy policy;
   engine.run(policy, horizon);
   std::vector<HalfUtil> psi2;
@@ -149,7 +151,7 @@ void expect_golden(const Instance& inst, std::uint64_t seed, Time horizon,
   EXPECT_EQ(contrib_psi2, golden.contrib_psi2);
   EXPECT_EQ(engine.events_processed(), golden.events);
   EXPECT_EQ(engine.decisions_made(), golden.decisions);
-  EXPECT_EQ(fixtures::placement_digest(engine.schedule()), golden.digest);
+  EXPECT_EQ(fixtures::placement_digest(schedule), golden.digest);
 }
 
 // Unit jobs: every busy machine frees at every timestamp, so each draw

@@ -220,12 +220,12 @@ class Recorder : public Policy {
   std::vector<Decision>& out_;
 };
 
-RunTrace finish(const Engine& engine) {
+RunTrace finish(const Engine& engine, const Schedule& schedule) {
   RunTrace trace;
   for (OrgId u = 0; u < engine.num_orgs(); ++u) {
     trace.utilities2.push_back(engine.psi2(u));
   }
-  trace.placements = engine.schedule().placements();
+  trace.placements = schedule.placements();
   return trace;
 }
 
@@ -233,10 +233,12 @@ RunTrace finish(const Engine& engine) {
 RunTrace run_attached(const Instance& inst, Policy& policy, Time horizon,
                       EngineOptions options = {}) {
   Engine engine(inst, options);
+  Schedule schedule;
+  engine.record_into(&schedule);
   std::vector<Decision> decisions;
   Recorder recorder(policy, decisions);
   engine.run(recorder, horizon);
-  RunTrace trace = finish(engine);
+  RunTrace trace = finish(engine, schedule);
   trace.decisions = std::move(decisions);
   return trace;
 }
@@ -247,6 +249,8 @@ RunTrace run_attached(const Instance& inst, Policy& policy, Time horizon,
 RunTrace run_detached(const Instance& inst, Policy& policy, Time horizon,
                       bool call_reset, EngineOptions options = {}) {
   Engine engine(inst, options);
+  Schedule schedule;
+  engine.record_into(&schedule);
   PolicyView view(engine);
   if (call_reset) policy.reset(view);
   std::vector<Decision> decisions;
@@ -261,7 +265,7 @@ RunTrace run_detached(const Instance& inst, Policy& policy, Time horizon,
     engine.advance_to(t);
   }
   engine.advance_to(horizon);
-  RunTrace trace = finish(engine);
+  RunTrace trace = finish(engine, schedule);
   trace.decisions = std::move(decisions);
   return trace;
 }

@@ -60,24 +60,24 @@ TEST(Ref, TakeScheduleMovesTheGrandPlacementsOut) {
 TEST(Ref, AllSubcoalitionSchedulesFeasible) {
   const Instance inst = make_synthetic_instance(
       preset_lpc_egee(), 3, 800, MachineSplit::kUniform, 1.0, 33);
-  // Subcoalition schedules are freed as REF goes, so they are checked
-  // where the observer sees them, complete.
+  // Proper subcoalitions record only for an observer, so each schedule is
+  // checked where the observer sees it, complete.
   Coalition::Mask observed = 0;
   RefOptions options;
-  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
+  options.on_coalition_finished = [&](Coalition c, const Engine& e,
+                                      const Schedule& s) {
     ++observed;
     // Every coalition of this instance starts jobs, and the observed
     // schedule holds each of them: the checks below are not vacuous.
     EXPECT_GT(e.decisions_made(), 0u) << "mask=" << c.mask();
-    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << c.mask();
+    EXPECT_EQ(s.size(), e.decisions_made()) << "mask=" << c.mask();
     // A coalition's schedule must be a feasible greedy schedule of the
     // restricted instance (here we can reuse the full instance: the
     // validators only look at placements that exist, and greediness is
     // checked against the coalition's own machines via the engine's totals).
-    EXPECT_EQ(e.schedule().check_machine_exclusive(inst), std::nullopt)
+    EXPECT_EQ(s.check_machine_exclusive(inst), std::nullopt)
         << "mask=" << c.mask();
-    EXPECT_EQ(e.schedule().check_fifo(inst), std::nullopt)
-        << "mask=" << c.mask();
+    EXPECT_EQ(s.check_fifo(inst), std::nullopt) << "mask=" << c.mask();
   };
   RefScheduler ref(inst, options);
   ref.run(800);
@@ -94,16 +94,18 @@ struct ObservedCoalition {
   std::vector<Placement> placements;
 };
 
-TEST(Ref, ObserverFiresOncePerCoalitionThenSubcoalitionSchedulesAreFreed) {
+// Each coalition's placements, observed, are the decisions its engine
+// made; the grand coalition's are REF's result.
+TEST(Ref, ObserverSeesEachCoalitionsEngineAndFullSchedule) {
   const Instance inst = make_synthetic_instance(
       preset_lpc_egee(), 4, 1500, MachineSplit::kZipf, 1.0, 59);
   const Coalition grand = Coalition::grand(inst.num_orgs());
   std::vector<ObservedCoalition> seen;
   RefOptions options;
-  options.on_coalition_finished = [&seen](Coalition c, const Engine& e) {
+  options.on_coalition_finished = [&seen](Coalition c, const Engine& e,
+                                          const Schedule& s) {
     seen.push_back({c.mask(), e.events_processed(), e.decisions_made(),
-                    e.value2(), e.total_work_done(),
-                    e.schedule().placements()});
+                    e.value2(), e.total_work_done(), s.placements()});
   };
   RefScheduler ref(inst, options);
   ref.run(1500);
@@ -114,22 +116,23 @@ TEST(Ref, ObserverFiresOncePerCoalitionThenSubcoalitionSchedulesAreFreed) {
     const ObservedCoalition& s = seen[mask - 1];
     EXPECT_EQ(s.mask, mask);
     EXPECT_EQ(s.placements.size(), s.decisions) << "mask=" << mask;
-    // After run(), the engine keeps what the observer saw except the
-    // schedule, which only the grand coalition keeps.
+    // Each placement is one of the coalition's own jobs.
+    for (const Placement& p : s.placements) {
+      EXPECT_TRUE(Coalition(mask).contains(p.org)) << "mask=" << mask;
+    }
+    // After run(), the engine keeps the counters and values the observer
+    // saw.
     const Engine& e = ref.engine(Coalition(mask));
     EXPECT_EQ(e.events_processed(), s.events) << "mask=" << mask;
     EXPECT_EQ(e.decisions_made(), s.decisions) << "mask=" << mask;
     EXPECT_EQ(e.value2(), s.value2) << "mask=" << mask;
     EXPECT_EQ(e.total_work_done(), s.work) << "mask=" << mask;
-    if (mask == grand.mask()) {
-      EXPECT_EQ(e.schedule().placements(), s.placements);
-    } else {
-      EXPECT_EQ(e.schedule().size(), 0u) << "mask=" << mask;
-    }
   }
   EXPECT_GT(seen.back().decisions, 0u);
+  EXPECT_EQ(seen.back().placements, ref.schedule().placements());
 
-  // The observer only reads: an unobserved run gives the same result.
+  // The observer only reads: an unobserved run, whose proper
+  // subcoalitions record nothing, gives the same result.
   RefScheduler plain(inst);
   plain.run(1500);
   EXPECT_EQ(plain.schedule().placements(), ref.schedule().placements());
@@ -139,25 +142,32 @@ TEST(Ref, ObserverFiresOncePerCoalitionThenSubcoalitionSchedulesAreFreed) {
 
 TEST(Ref, GenericRuleKeepsEverySubcoalitionSchedule) {
   // The Fig. 1 rule evaluates subcoalition schedules while supersets run,
-  // so none is freed.
+  // so every coalition records into a schedule of its own that stays.
   const Instance inst = make_synthetic_instance(
       preset_lpc_egee(), 3, 300, MachineSplit::kUniform, 1.0, 47);
   CompletedWorkUtilityFn throughput;
-  std::vector<std::vector<Placement>> seen;
+  std::vector<std::pair<const Schedule*, std::vector<Placement>>> seen;
   RefOptions options;
   options.generic_utility = &throughput;
-  options.on_coalition_finished = [&seen](Coalition, const Engine& e) {
-    seen.push_back(e.schedule().placements());
+  options.on_coalition_finished = [&seen](Coalition c, const Engine& e,
+                                          const Schedule& s) {
+    EXPECT_EQ(s.size(), e.decisions_made()) << "mask=" << c.mask();
+    seen.emplace_back(&s, s.placements());
   };
   RefScheduler ref(inst, options);
   ref.run(300);
   const Coalition grand = Coalition::grand(inst.num_orgs());
   ASSERT_EQ(seen.size(), grand.mask());
   for (Coalition::Mask mask = 1; mask <= grand.mask(); ++mask) {
-    const Engine& e = ref.engine(Coalition(mask));
-    EXPECT_EQ(e.schedule().placements(), seen[mask - 1]) << "mask=" << mask;
-    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << mask;
+    const auto& [schedule, placements] = seen[mask - 1];
+    EXPECT_FALSE(placements.empty()) << "mask=" << mask;
+    // Still held, unchanged, after every superset ran.
+    EXPECT_EQ(schedule->placements(), placements) << "mask=" << mask;
+    for (Coalition::Mask other = 1; other < mask; ++other) {
+      EXPECT_NE(seen[other - 1].first, schedule) << "mask=" << mask;
+    }
   }
+  EXPECT_EQ(seen.back().second, ref.schedule().placements());
 }
 
 TEST(Ref, UtilitiesMatchClosedFormOnSchedule) {
@@ -320,7 +330,7 @@ TEST(Ref, UtilitiesIgnorePlacementsStartingAtOrAfterT) {
   SpUtilityFn sp;
   CompletedWorkUtilityFn throughput;
   for (Time t : {Time{0}, Time{1}, Time{57}, Time{250}, Time{599}}) {
-    Schedule before(inst.num_orgs());
+    Schedule before;
     for (const Placement& p : full.placements()) {
       if (p.start < t) before.add(p);
     }
@@ -346,15 +356,16 @@ struct RefGolden {
 
 void expect_golden(const Instance& inst, Time horizon, const RefGolden& golden,
                    RefOptions options = {}) {
-  // Subcoalition schedules are freed as REF goes; the digest reads each
-  // one in the observer, which fires in ascending mask order.
+  // Proper subcoalitions record only for an observer; the digest reads
+  // each schedule in the observer, which fires in ascending mask order.
   std::uint64_t digest = fixtures::kFnvOffset;
   std::uint64_t events = 0;
   std::uint64_t decisions = 0;
-  options.on_coalition_finished = [&](Coalition c, const Engine& e) {
-    EXPECT_EQ(e.schedule().size(), e.decisions_made()) << "mask=" << c.mask();
+  options.on_coalition_finished = [&](Coalition c, const Engine& e,
+                                      const Schedule& s) {
+    EXPECT_EQ(s.size(), e.decisions_made()) << "mask=" << c.mask();
     fixtures::fnv_mix(digest, c.mask());
-    fixtures::fnv_mix_placements(digest, e.schedule());
+    fixtures::fnv_mix_placements(digest, s);
     events += e.events_processed();
     decisions += e.decisions_made();
   };

@@ -19,7 +19,7 @@ Instance simple_instance() {
 
 TEST(Schedule, StartAndCompletionLookups) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 0, 0});
   EXPECT_EQ(s.start_of(0, 0), 0);
   EXPECT_EQ(s.completion_of(inst, 0, 0), 3);
@@ -31,7 +31,7 @@ TEST(Schedule, StartAndCompletionLookups) {
 // Engines append each organization's starts in FIFO order; any other
 // index (a gap, or an overwrite) takes the general path.
 TEST(Schedule, AppendAndOutOfOrderIndicesBothRecordStarts) {
-  Schedule s(2);
+  Schedule s;
   s.add({0, 0, 4, 0});  // appends
   s.add({0, 1, 6, 0});  // appends
   EXPECT_EQ(s.num_started(0), 2u);
@@ -60,7 +60,7 @@ TEST(Schedule, AppendAndOutOfOrderIndicesBothRecordStarts) {
 
 TEST(Schedule, ValidGreedySchedulePasses) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 0, 0});   // a's first job on machine 0 at t=0
   s.add({0, 1, 0, 1});   // a's second job on machine 1 at t=0
   s.add({1, 0, 2, 1});   // c's job after a's second finishes at 2
@@ -69,7 +69,7 @@ TEST(Schedule, ValidGreedySchedulePasses) {
 
 TEST(Schedule, DetectsMachineOverlap) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 0, 0});
   s.add({0, 1, 2, 0});  // starts at 2 but first job runs until 3
   const auto err = s.check_machine_exclusive(inst);
@@ -79,7 +79,7 @@ TEST(Schedule, DetectsMachineOverlap) {
 
 TEST(Schedule, BackToBackOnOneMachineIsFine) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 0, 0});
   s.add({0, 1, 3, 0});  // exactly when the first finishes
   EXPECT_EQ(s.check_machine_exclusive(inst), std::nullopt);
@@ -87,7 +87,7 @@ TEST(Schedule, BackToBackOnOneMachineIsFine) {
 
 TEST(Schedule, DetectsStartBeforeRelease) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({1, 0, 0, 1});  // c's job released at 1, started at 0
   const auto err = s.check_fifo(inst);
   ASSERT_TRUE(err.has_value());
@@ -96,7 +96,7 @@ TEST(Schedule, DetectsStartBeforeRelease) {
 
 TEST(Schedule, DetectsFifoOrderViolation) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 5, 0});
   s.add({0, 1, 2, 1});  // job 1 starts before job 0
   const auto err = s.check_fifo(inst);
@@ -106,7 +106,7 @@ TEST(Schedule, DetectsFifoOrderViolation) {
 
 TEST(Schedule, DetectsFifoPrefixGap) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 1, 0, 0});  // job 1 started, job 0 never
   const auto err = s.check_fifo(inst);
   ASSERT_TRUE(err.has_value());
@@ -115,7 +115,7 @@ TEST(Schedule, DetectsFifoPrefixGap) {
 
 TEST(Schedule, DetectsNonGreedyIdleness) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   // Machine 1 idles at t=0 although a's second job is released.
   s.add({0, 0, 0, 0});
   s.add({0, 1, 5, 1});
@@ -127,7 +127,7 @@ TEST(Schedule, DetectsNonGreedyIdleness) {
 
 TEST(Schedule, GreedyCheckIgnoresIdlenessPastHorizon) {
   const Instance inst = simple_instance();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   s.add({0, 0, 0, 0});
   s.add({0, 1, 0, 1});
   // c's job never scheduled; machines free from t=4. Horizon 2 hides it.
@@ -135,11 +135,46 @@ TEST(Schedule, GreedyCheckIgnoresIdlenessPastHorizon) {
   EXPECT_NE(s.check_greedy(inst, 10), std::nullopt);
 }
 
+// A job placed twice, on two machines, passes every per-machine and
+// greedy check; FIFO checking counts placements per job and rejects it.
+TEST(Schedule, RejectsAJobPlacedTwice) {
+  InstanceBuilder b;
+  b.add_org("a", 2);
+  b.add_job(0, 0, 3);
+  const Instance inst = std::move(b).build();
+  Schedule s;
+  s.add({0, 0, 0, 0});
+  s.add({0, 0, 1, 1});
+  const auto err = s.validate(inst, 10);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("placed twice"), std::string::npos) << *err;
+  EXPECT_EQ(s.check_fifo(inst), err);
+}
+
+// Placements of jobs the instance does not have are reported before any
+// check looks the job up.
+TEST(Schedule, RejectsPlacementsOfUnknownJobs) {
+  const Instance inst = simple_instance();
+  for (const Placement& unknown :
+       {Placement{2, 0, 0, 0}, Placement{1, 1, 1, 1},
+        Placement{kNoOrg, 0, 0, 0}}) {
+    Schedule s;
+    s.add({0, 0, 0, 0});
+    s.add(unknown);
+    const auto err = s.validate(inst, 10);
+    ASSERT_TRUE(err.has_value()) << unknown.org << "," << unknown.index;
+    EXPECT_NE(err->find("unknown job"), std::string::npos) << *err;
+    EXPECT_EQ(s.check_machine_exclusive(inst), err);
+    EXPECT_EQ(s.check_fifo(inst), err);
+    EXPECT_EQ(s.check_greedy(inst, 10), err);
+  }
+}
+
 TEST(Schedule, EmptyScheduleOfEmptyWorkloadValid) {
   InstanceBuilder b;
   b.add_org("a", 2);
   const Instance inst = std::move(b).build();
-  Schedule s(inst.num_orgs());
+  Schedule s;
   EXPECT_EQ(s.validate(inst, 100), std::nullopt);
 }
 

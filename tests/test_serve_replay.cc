@@ -362,18 +362,21 @@ void expect_injected_matches_preloaded(const Instance& inst) {
   options.machine_pick = MachinePick::kRandomFree;
   options.seed = 17;
   Engine preloaded(inst, options);
+  Schedule batch_schedule;
+  preloaded.record_into(&batch_schedule);
   DirectContrPolicy batch_policy;
   preloaded.run(batch_policy, horizon);
 
   options.external_releases = true;
   Engine injected(inst, options);
+  Schedule serve_schedule;
+  injected.record_into(&serve_schedule);
   DirectContrPolicy serve_policy;
   fixtures::run_injected(injected, serve_policy,
                          fixtures::arrivals_by_release(inst), horizon);
 
-  ASSERT_GT(preloaded.schedule().size(), 0u);
-  EXPECT_EQ(injected.schedule().placements(),
-            preloaded.schedule().placements());
+  ASSERT_GT(batch_schedule.size(), 0u);
+  EXPECT_EQ(serve_schedule.placements(), batch_schedule.placements());
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
     EXPECT_EQ(injected.psi2(u), preloaded.psi2(u)) << "u=" << u;
     EXPECT_EQ(injected.contrib_psi2(u), preloaded.contrib_psi2(u))

@@ -126,7 +126,7 @@ TEST(Prop42, PsiSpIsAffineInFlowTimeForEqualJobs) {
   // Two different feasible-ish placements of the same jobs (machine ids
   // are irrelevant to both metrics).
   auto make_schedule = [&](const std::vector<Time>& starts) {
-    Schedule s(1);
+    Schedule s;
     for (std::uint32_t i = 0; i < starts.size(); ++i) {
       s.add({o, i, starts[i], static_cast<MachineId>(i % 2)});
     }
@@ -158,10 +158,10 @@ TEST(Prop42, BreaksForUnequalJobs) {
   const Instance inst = std::move(b).build();
   const Time t = 30;
 
-  Schedule short_first(1);
+  Schedule short_first;
   short_first.add({o, 0, 0, 0});
   short_first.add({o, 1, 1, 0});
-  Schedule long_first(1);
+  Schedule long_first;
   long_first.add({o, 0, 10, 0});
   long_first.add({o, 1, 0, 0});
 
@@ -222,7 +222,7 @@ TEST(Thm41Transforms, SplitOfAllocatedSlotsIsPsiInvariantForEveryPolicy) {
         first[j + 1] = first[j] +
                        static_cast<std::uint32_t>(inst.job(0, j).processing);
       }
-      Schedule piecewise(pieces.num_orgs());
+      Schedule piecewise;
       for (const Placement& p : run.schedule.placements()) {
         if (p.org != 0) {
           piecewise.add(p);
@@ -254,7 +254,7 @@ TEST(Thm41Transforms, MergeOfBackToBackSlotsIsPsiInvariant) {
     b.add_job(o, 0, sizes.back());
   }
   const Instance inst = std::move(b).build();
-  Schedule sequential(1);
+  Schedule sequential;
   Time at = 0;
   for (std::uint32_t j = 0; j < sizes.size(); ++j) {
     sequential.add({o, j, at, 0});
@@ -266,7 +266,7 @@ TEST(Thm41Transforms, MergeOfBackToBackSlotsIsPsiInvariant) {
     const Instance merged = strategy::apply_deviation(inst, 0, merge);
     // Each merged job covers its run's contiguous slots: starts fall out
     // of the same back-to-back layout.
-    Schedule merged_schedule(1);
+    Schedule merged_schedule;
     Time start = 0;
     for (std::uint32_t j = 0; j < merged.jobs_of(0).size(); ++j) {
       merged_schedule.add({o, j, start, 0});
@@ -292,7 +292,7 @@ TEST(Thm41Transforms, DelayingEverySlotNeverImprovesPsiForAnyPolicy) {
         exp::PolicyRegistry::global().run(inst, policy, horizon, 5);
     HalfUtil previous = sp_org_half_utility(inst, run.schedule, 0, horizon);
     for (Time d : {1, 2, 5, 20}) {
-      Schedule delayed(inst.num_orgs());
+      Schedule delayed;
       for (const Placement& p : run.schedule.placements()) {
         delayed.add(p.org == 0 ? Placement{p.org, p.index, p.start + d,
                                            p.machine}

@@ -302,7 +302,7 @@ TEST(EvaluateDeviation, MisreportCapsUtilityAndDropsUnderDeclared) {
   const Instance declared = apply_deviation(honest, 0, dev);
   ASSERT_EQ(declared.job(0, 0).processing, 2);
 
-  Schedule schedule(1);
+  Schedule schedule;
   schedule.add({o, 0, 0, 0});
   const Time horizon = 10;
   std::vector<HalfUtil> utilities2 = {

@@ -151,7 +151,7 @@ TEST(Thm53, OrderedVsReversedDistanceApproachesOne) {
     }
     const Instance inst = std::move(b).build();
     const Time t = static_cast<Time>(m) * p;  // all complete
-    Schedule ord(m), rev(m);
+    Schedule ord, rev;
     for (std::uint32_t u = 0; u < m; ++u) {
       ord.add({u, 0, static_cast<Time>(u) * p, 0});
       rev.add({u, 0, static_cast<Time>(m - 1 - u) * p, 0});
@@ -202,14 +202,18 @@ TEST(Thm62, Figure7WorstCaseIsExactlyThreeQuarters) {
   const Time horizon = 6;
 
   Engine good(inst);
+  Schedule good_schedule;
+  good.record_into(&good_schedule);
   PriorityPolicy prefer_long(1);
   good.run(prefer_long, horizon);
-  EXPECT_DOUBLE_EQ(resource_utilization(inst, good.schedule(), horizon), 1.0);
+  EXPECT_DOUBLE_EQ(resource_utilization(inst, good_schedule, horizon), 1.0);
 
   Engine bad(inst);
+  Schedule bad_schedule;
+  bad.record_into(&bad_schedule);
   PriorityPolicy prefer_short(0);
   bad.run(prefer_short, horizon);
-  EXPECT_DOUBLE_EQ(resource_utilization(inst, bad.schedule(), horizon), 0.75);
+  EXPECT_DOUBLE_EQ(resource_utilization(inst, bad_schedule, horizon), 0.75);
 }
 
 TEST(Thm62, AllGreedyPoliciesWithinThreeQuartersOfEachOther) {
@@ -241,9 +245,11 @@ TEST(Thm62, AllGreedyPoliciesWithinThreeQuartersOfEachOther) {
       // Also the fixed-priority extremes.
       for (OrgId pref = 0; pref < inst.num_orgs(); ++pref) {
         Engine e(inst);
+        Schedule schedule;
+        e.record_into(&schedule);
         PriorityPolicy p(pref);
         e.run(p, t);
-        utils.push_back(resource_utilization(inst, e.schedule(), t));
+        utils.push_back(resource_utilization(inst, schedule, t));
       }
       const double lo = *std::min_element(utils.begin(), utils.end());
       const double hi = *std::max_element(utils.begin(), utils.end());

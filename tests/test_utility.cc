@@ -73,7 +73,7 @@ Fig2 figure2() {
   const Time p[9] = {3, 4, 3, 6, 3, 6, 3, 3, 4};
   for (Time pi : p) b.add_job(o1, 0, pi);
   b.add_job(o2, 0, 5);
-  Fig2 f{std::move(b).build(), Schedule(2)};
+  Fig2 f{std::move(b).build(), Schedule()};
   // Placements (machine ids arbitrary for utility purposes).
   const Time starts[9] = {0, 0, 0, 4, 3, 3, 6, 9, 10};
   const MachineId machines[9] = {0, 1, 2, 1, 0, 2, 0, 0, 1};
@@ -105,7 +105,7 @@ TEST(Figure2, FlowTimeAt14Is70) {
 TEST(Figure2, RemovingO2JobSpeedsJ9ByOne) {
   // Without J(2)1, J9 starts at 9 instead of 10: utility +4, flow time -1.
   const Fig2 f = figure2();
-  Schedule alt(2);
+  Schedule alt;
   for (const Placement& p : f.schedule.placements()) {
     if (p.org == 1) continue;  // drop O2's job
     Placement q = p;
@@ -124,7 +124,7 @@ TEST(Figure2, DelayingJ6ByOneCostsSix) {
   // J6 (p=6) one unit later: utility -6 although flow time changes by -1
   // only — psi_sp accounts for job sizes, flow time does not.
   const Fig2 f = figure2();
-  Schedule alt(2);
+  Schedule alt;
   for (const Placement& p : f.schedule.placements()) {
     Placement q = p;
     if (p.org == 0 && p.index == 5) q.start = 4;
@@ -140,7 +140,7 @@ TEST(Figure2, DroppingJ9CostsTen) {
   // while flow time would *improve* by 14 — the second anonymity axiom is
   // why flow time cannot serve as the utility.
   const Fig2 f = figure2();
-  Schedule alt(2);
+  Schedule alt;
   for (const Placement& p : f.schedule.placements()) {
     if (p.org == 0 && p.index == 8) continue;
     alt.add(p);
