@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace fairsched {
 
@@ -34,24 +35,40 @@ OrgId InstanceBuilder::add_org(std::string name, std::uint32_t machines) {
   return static_cast<OrgId>(orgs_.size() - 1);
 }
 
-void InstanceBuilder::reserve_jobs(OrgId org, std::size_t n) {
-  if (org >= orgs_.size()) {
-    throw std::out_of_range("reserve_jobs: unknown organization");
+namespace {
+
+void check_job(const char* who, Time release, Time processing) {
+  if (release < 0) {
+    throw std::invalid_argument(std::string(who) + ": negative release time");
   }
-  jobs_[org].reserve(n);
+  if (processing <= 0) {
+    throw std::invalid_argument(std::string(who) +
+                                ": processing time must be positive");
+  }
 }
+
+}  // namespace
 
 void InstanceBuilder::add_job(OrgId org, Time release, Time processing) {
   if (org >= orgs_.size()) {
     throw std::out_of_range("add_job: unknown organization");
   }
-  if (release < 0) {
-    throw std::invalid_argument("add_job: negative release time");
-  }
-  if (processing <= 0) {
-    throw std::invalid_argument("add_job: processing time must be positive");
-  }
+  check_job("add_job", release, processing);
   jobs_[org].push_back(Job{org, 0, release, processing});
+}
+
+void InstanceBuilder::add_jobs(OrgId org, std::vector<Job> jobs) {
+  if (org >= orgs_.size()) {
+    throw std::out_of_range("add_jobs: unknown organization");
+  }
+  for (const Job& job : jobs) {
+    check_job("add_jobs", job.release, job.processing);
+  }
+  if (jobs_[org].empty()) {
+    jobs_[org] = std::move(jobs);
+  } else {
+    jobs_[org].insert(jobs_[org].end(), jobs.begin(), jobs.end());
+  }
 }
 
 Instance InstanceBuilder::build() && {

@@ -98,8 +98,11 @@ class InstanceBuilder {
   // non-positive processing time or negative release.
   void add_job(OrgId org, Time release, Time processing);
 
-  // Capacity hint: `org` will receive about `n` jobs.
-  void reserve_jobs(OrgId org, std::size_t n);
+  // Appends a whole stream to `org`'s jobs, as add_job would one at a time
+  // (the jobs' org and index fields are re-derived by build()), taking the
+  // vector's storage when `org` has no jobs yet. Runs add_job's checks on
+  // every job first and throws before adding any.
+  void add_jobs(OrgId org, std::vector<Job> jobs);
 
   // Validates and produces the immutable instance. Throws on an empty
   // platform (no machines at all) with a non-empty workload.

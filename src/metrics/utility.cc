@@ -1,8 +1,19 @@
 #include "metrics/utility.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace fairsched {
+
+const Job& placed_job(const Instance& inst, const Placement& p) {
+  if (p.org >= inst.num_orgs() || p.index >= inst.jobs_of(p.org).size()) {
+    throw std::out_of_range("placement of unknown job: org " +
+                            std::to_string(p.org) + " index " +
+                            std::to_string(p.index));
+  }
+  return inst.job(p.org, p.index);
+}
 
 HalfUtil sp_job_half_utility(Time start, Time processing, Time t) {
   if (start >= t) return 0;
@@ -27,8 +38,7 @@ HalfUtil sp_org_half_utility(const Instance& inst, const Schedule& schedule,
   HalfUtil total = 0;
   for (const Placement& p : schedule.placements()) {
     if (p.org != org) continue;
-    total += sp_job_half_utility(p.start, inst.job(p.org, p.index).processing,
-                                 t);
+    total += sp_job_half_utility(p.start, placed_job(inst, p).processing, t);
   }
   return total;
 }
@@ -38,7 +48,7 @@ std::vector<HalfUtil> sp_half_utilities(const Instance& inst,
   std::vector<HalfUtil> out(inst.num_orgs(), 0);
   for (const Placement& p : schedule.placements()) {
     out[p.org] +=
-        sp_job_half_utility(p.start, inst.job(p.org, p.index).processing, t);
+        sp_job_half_utility(p.start, placed_job(inst, p).processing, t);
   }
   return out;
 }
@@ -48,7 +58,7 @@ HalfUtil sp_half_value(const Instance& inst, const Schedule& schedule,
   HalfUtil total = 0;
   for (const Placement& p : schedule.placements()) {
     total +=
-        sp_job_half_utility(p.start, inst.job(p.org, p.index).processing, t);
+        sp_job_half_utility(p.start, placed_job(inst, p).processing, t);
   }
   return total;
 }
@@ -57,7 +67,7 @@ std::int64_t total_flow_time(const Instance& inst, const Schedule& schedule,
                              Time t) {
   std::int64_t total = 0;
   for (const Placement& p : schedule.placements()) {
-    const Job& job = inst.job(p.org, p.index);
+    const Job& job = placed_job(inst, p);
     const Time completion = p.start + job.processing;
     if (completion <= t) total += completion - job.release;
   }
@@ -69,7 +79,7 @@ std::int64_t org_flow_time(const Instance& inst, const Schedule& schedule,
   std::int64_t total = 0;
   for (const Placement& p : schedule.placements()) {
     if (p.org != org) continue;
-    const Job& job = inst.job(p.org, p.index);
+    const Job& job = placed_job(inst, p);
     const Time completion = p.start + job.processing;
     if (completion <= t) total += completion - job.release;
   }
@@ -80,7 +90,7 @@ std::int64_t total_wait_time(const Instance& inst, const Schedule& schedule,
                              Time t) {
   std::int64_t total = 0;
   for (const Placement& p : schedule.placements()) {
-    if (p.start <= t) total += p.start - inst.job(p.org, p.index).release;
+    if (p.start <= t) total += p.start - placed_job(inst, p).release;
   }
   return total;
 }
@@ -88,7 +98,7 @@ std::int64_t total_wait_time(const Instance& inst, const Schedule& schedule,
 Time makespan(const Instance& inst, const Schedule& schedule, Time t) {
   Time latest = 0;
   for (const Placement& p : schedule.placements()) {
-    const Time completion = p.start + inst.job(p.org, p.index).processing;
+    const Time completion = p.start + placed_job(inst, p).processing;
     if (completion <= t) latest = std::max(latest, completion);
   }
   return latest;
@@ -98,7 +108,7 @@ std::int64_t total_tardiness(const Instance& inst, const Schedule& schedule,
                              Time t, Time due_offset) {
   std::int64_t total = 0;
   for (const Placement& p : schedule.placements()) {
-    const Job& job = inst.job(p.org, p.index);
+    const Job& job = placed_job(inst, p);
     const Time completion = p.start + job.processing;
     if (completion <= t) {
       total += std::max<Time>(0, completion - (job.release + due_offset));
@@ -112,7 +122,7 @@ std::int64_t completed_work(const Instance& inst, const Schedule& schedule,
   std::int64_t total = 0;
   for (const Placement& p : schedule.placements()) {
     if (p.start >= t) continue;
-    total += std::min<Time>(inst.job(p.org, p.index).processing, t - p.start);
+    total += std::min<Time>(placed_job(inst, p).processing, t - p.start);
   }
   return total;
 }

@@ -21,6 +21,10 @@
 // Classic scheduling objectives (flow time, turnaround, makespan, tardiness,
 // utilization) are provided for comparison experiments and for the
 // strategy-proofness ablation (bench_strategyproof).
+//
+// Every reader below looks up the jobs of a schedule's placements through
+// placed_job, so it throws std::out_of_range, naming the placement's org
+// and index, when `inst` has no such job.
 
 #include <cstdint>
 #include <vector>
@@ -30,6 +34,11 @@
 #include "core/types.h"
 
 namespace fairsched {
+
+// The job placement `p` refers to. Throws std::out_of_range naming p's org
+// and index when `inst` has no such job, so a schedule that does not
+// belong to `inst` fails loudly instead of reading out of bounds.
+const Job& placed_job(const Instance& inst, const Placement& p);
 
 // --- psi_sp ---------------------------------------------------------------
 

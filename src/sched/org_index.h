@@ -14,8 +14,8 @@
 //
 //   * IncrementalPolicy — the mirror-bookkeeping base. The engine's
 //     PolicyView::state_version() counts every observable state change,
-//     one per notification (a completion, a same-time release run, a job
-//     started); the base records the version the mirror was last
+//     one per notification (a same-time completion run or release run, a
+//     job started); the base records the version the mirror was last
 //     synchronized at. Notification handlers call track(): when the
 //     notification is exactly the next unseen change, the handler
 //     applies its delta (O(log n) when a key moves, O(1) when none does);
@@ -28,12 +28,14 @@
 //
 //   * KeyedArgmin<Key> — a tournament tree over organization ids with an
 //     explicit priority key per id. argmin() is O(1), set()/clear() are
-//     O(log n). Ties on equal keys resolve to the LOWER id, which is
-//     exactly the "first strict improvement wins" rule of the scan loops
-//     these trees replace — so scan and tree agree bit-for-bit as long as
-//     the key is computed by the same expression the scan used. The tree's
-//     state is a function of the present keys alone, so the order of the
-//     set()/clear() calls that produced them cannot change argmin().
+//     O(log n), and set() of a present id with an equal (==) key is O(1):
+//     the tree is already in that state. Ties on equal keys resolve to the
+//     LOWER id, which is exactly the "first strict improvement wins" rule
+//     of the scan loops these trees replace — so scan and tree agree
+//     bit-for-bit as long as the key is computed by the same expression
+//     the scan used. The tree's state is a function of the present keys
+//     alone, so the order of the set()/clear() calls that produced them
+//     cannot change argmin().
 //
 //   * OrderStatSet — a Fenwick-backed set of organization ids supporting
 //     O(log n) insert/erase/count_below/kth. Backs ROUNDROBIN (first member
@@ -113,6 +115,11 @@ class KeyedArgmin {
   bool has(std::uint32_t i) const { return present_[i] != 0; }
 
   void set(std::uint32_t i, Key key) {
+    // An equal key leaves the tree as it is. Mirrors re-key an org at its
+    // own starts, where the fair-share and DIRECTCONTR keys, already
+    // folded to that instant, do not move. A NaN never compares equal, so
+    // it still updates.
+    if (present_[i] && keys_[i] == key) return;
     keys_[i] = std::move(key);
     present_[i] = 1;
     win_[base_ + i] = i;

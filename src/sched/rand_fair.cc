@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <tuple>
 
 #include "shapley/shapley.h"
 #include "util/rng.h"
@@ -14,14 +13,29 @@ std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
   return rand_sample_bound(k, epsilon, lambda);
 }
 
-FcfsValueCurve::FcfsValueCurve(const Instance& inst, Coalition coalition)
-    : inst_(&inst) {
+std::vector<FcfsJob> fcfs_job_order(const Instance& inst) {
+  std::vector<FcfsJob> order;
+  order.reserve(inst.num_jobs());
+  // Org by org, each in FIFO order (release-sorted): a stable sort by
+  // release then leaves ties in (org, index) order.
   for (OrgId u = 0; u < inst.num_orgs(); ++u) {
-    if (!coalition.contains(u)) continue;
-    machines_ += inst.machines_of(u);
-    if (!inst.jobs_of(u).empty()) {
-      heads_.emplace(inst.job(u, 0).release, u, 0);
+    for (const Job& job : inst.jobs_of(u)) {
+      order.push_back({job.release, job.processing, u});
     }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const FcfsJob& a, const FcfsJob& b) {
+                     return a.release < b.release;
+                   });
+  return order;
+}
+
+FcfsValueCurve::FcfsValueCurve(const Instance& inst,
+                               std::span<const FcfsJob> order,
+                               Coalition coalition)
+    : order_(order), coalition_(coalition) {
+  for (OrgId u = 0; u < inst.num_orgs(); ++u) {
+    if (coalition.contains(u)) machines_ += inst.machines_of(u);
   }
 }
 
@@ -31,10 +45,13 @@ void FcfsValueCurve::advance_to(Time t) {
   // one free, every job released by the last event time (agg_.at) has
   // started, so the next job starts at max(its release, agg_.at).
   for (;;) {
+    while (next_ < order_.size() && !coalition_.contains(order_[next_].org)) {
+      ++next_;
+    }
     const Time e = ends_.empty() ? kTimeInfinity : ends_.top();
-    const Time s = heads_.empty() || ends_.size() == machines_
+    const Time s = next_ == order_.size() || ends_.size() == machines_
                        ? kTimeInfinity
-                       : std::max(std::get<0>(heads_.top()), agg_.at);
+                       : std::max(order_[next_].release, agg_.at);
     if (std::min(s, e) > t) break;
     if (e <= s) {
       agg_.fold_to(e);
@@ -44,12 +61,7 @@ void FcfsValueCurve::advance_to(Time t) {
     }
     agg_.fold_to(s);
     agg_.running++;
-    const auto [release, u, index] = heads_.top();
-    heads_.pop();
-    if (index + 1 < inst_->jobs_of(u).size()) {
-      heads_.emplace(inst_->job(u, index + 1).release, u, index + 1);
-    }
-    ends_.push(s + inst_->job(u, index).processing);
+    ends_.push(s + order_[next_++].processing);
   }
   now_ = t;
 }
@@ -65,6 +77,7 @@ RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
     throw std::invalid_argument("RandScheduler: need at least one sample");
   }
   grand_ = std::make_unique<Engine>(inst, Coalition::grand(k));
+  order_ = fcfs_job_order(inst);
 
   // Prepare(C): N random orderings; each prefix pair (C', C' | u) is
   // recorded for u. Distinct nonempty coalitions share one value curve.
@@ -86,7 +99,7 @@ RandScheduler::RandScheduler(const Instance& inst, RandOptions options)
   masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
   curves_.reserve(masks.size());
   for (Coalition::Mask mask : masks) {
-    curves_.emplace_back(inst, Coalition(mask));
+    curves_.emplace_back(inst, order_, Coalition(mask));
   }
   auto curve_of = [&](Coalition::Mask mask) {
     if (mask == 0) return PrefixPair::kEmpty;
@@ -132,6 +145,20 @@ void RandScheduler::run(Time horizon) {
     if (t == kTimeInfinity || t >= horizon) break;
     grand_->advance_to(t);
     if (!grand_->needs_decision()) continue;
+    // With one organization waiting, every start at t is forced (the
+    // argmax over one candidate), so the estimates are not read; the
+    // curves catch up at the next contested decision.
+    OrgId only = kNoOrg;
+    bool contested = false;
+    for (OrgId u = 0; u < inst_->num_orgs() && !contested; ++u) {
+      if (grand_->waiting(u) == 0) continue;
+      contested = only != kNoOrg;
+      only = u;
+    }
+    if (!contested) {
+      while (grand_->needs_decision()) grand_->start_front(only);
+      continue;
+    }
     // Read every sampled coalition's value at t so that the contribution
     // estimates are current.
     advance_curves(t);

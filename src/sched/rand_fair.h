@@ -26,7 +26,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <tuple>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,24 +48,38 @@ struct RandOptions {
 std::size_t rand_theorem_samples(std::uint32_t k, double epsilon,
                                  double lambda);
 
+// One job of an instance's FCFS order.
+struct FcfsJob {
+  Time release;
+  Time processing;
+  OrgId org;
+};
+
+// Every job of `inst` in FCFS order: by (release, org, FIFO index).
+std::vector<FcfsJob> fcfs_job_order(const Instance& inst);
+
 // The value curve t -> 2*v(C, t) of coalition C's FCFS schedule.
 //
 // FCFS starts the waiting job with the earliest release (ties: lowest
 // organization, then FIFO index). Every job released by t outranks every
 // job released after t, so on identical machines FCFS is a list schedule:
-// jobs start in that key order (a k-way merge of the members'
-// release-sorted job lists), each as soon as it is released and a machine
-// is free. The value does not depend on which machine runs a job, so the
-// curve tracks only the end times of the running jobs (a min-heap) and
-// folds starts and ends, in time order, into an Engine::AggSnapshot — the
-// same integer accrual an engine driven by FcfsPolicy computes, so
-// value2() is bit-identical to that engine's (tests/test_rand.cc). The
-// schedule is extended lazily, up to the latest time queried: memory is
-// O(members + machines), and no job starting after the last query is
-// placed. A coalition owning no machines starts nothing; its value stays 0.
+// jobs start in that key order, each as soon as it is released and a
+// machine is free. C's order is the instance's one FCFS order
+// (fcfs_job_order) with the other organizations' jobs skipped, so every
+// curve of an instance reads one shared order. The value does not depend
+// on which machine runs a job, so the curve tracks only the end times of
+// the running jobs (a min-heap) and folds starts and ends, in time order,
+// into an Engine::AggSnapshot — the same integer accrual an engine driven
+// by FcfsPolicy computes, so value2() is bit-identical to that engine's
+// (tests/test_rand.cc). The schedule is extended lazily, up to the latest
+// time queried: a curve's own memory is O(machines), and no job starting
+// after the last query is placed. A coalition owning no machines starts
+// nothing; its value stays 0.
 class FcfsValueCurve {
  public:
-  FcfsValueCurve(const Instance& inst, Coalition coalition);
+  // `order` is fcfs_job_order(inst) and must outlive the curve.
+  FcfsValueCurve(const Instance& inst, std::span<const FcfsJob> order,
+                 Coalition coalition);
 
   // Folds every start and end at or before t. t must not decrease across
   // calls.
@@ -74,12 +88,12 @@ class FcfsValueCurve {
   HalfUtil value2() const { return agg_.value2_at(now_); }
 
  private:
-  // FCFS key of a member's front unplaced job: (release, org, index).
-  using Head = std::tuple<Time, OrgId, std::uint32_t>;
-
-  const Instance* inst_;
+  std::span<const FcfsJob> order_;
+  Coalition coalition_;
+  // Position in order_ of the next job to start (or of a non-member's job
+  // still to be skipped).
+  std::size_t next_ = 0;
   std::uint32_t machines_ = 0;
-  std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heads_;
   // Ends of the running jobs (at most machines_ of them).
   std::priority_queue<Time, std::vector<Time>, std::greater<Time>> ends_;
   Engine::AggSnapshot agg_;
@@ -122,6 +136,8 @@ class RandScheduler {
   RandOptions options_;
   std::unique_ptr<Engine> grand_;
   Schedule schedule_;
+  // The FCFS order every curve reads.
+  std::vector<FcfsJob> order_;
   // Distinct nonempty sampled coalitions, ascending by mask.
   std::vector<FcfsValueCurve> curves_;
   // Per organization: one pair per permutation, in draw order.

@@ -19,7 +19,7 @@ double CompletedWorkUtilityFn::eval(const Instance& inst,
   for (const Placement& p : schedule.placements()) {
     if (p.org != org || p.start >= t) continue;
     total += static_cast<double>(
-        std::min<Time>(inst.job(p.org, p.index).processing, t - p.start));
+        std::min<Time>(placed_job(inst, p).processing, t - p.start));
   }
   return total;
 }

@@ -45,7 +45,8 @@ class ServeSession::StatsListener final : public Policy {
       : inner_(inner),
         engine_(engine),
         report_(report),
-        resident_(engine->num_orgs(), 0) {}
+        resident_(engine->num_orgs(), 0),
+        completed_(engine->num_orgs(), 0) {}
 
   void reset(const PolicyView& view) override { inner_->reset(view); }
   OrgId select(const PolicyView& view) override {
@@ -81,7 +82,11 @@ class ServeSession::StatsListener final : public Policy {
   void on_complete(const PolicyView& view, OrgId org,
                    MachineId machine) override {
     inner_->on_complete(view, org, machine);
-    report_->completions++;
+    // One notification may carry several completions of org (a same-time
+    // run), so the count is the growth of the engine's completed(org).
+    const std::uint32_t completed = engine_->completed(org);
+    report_->completions += completed - completed_[org];
+    completed_[org] = completed;
     if (engine_->waiting(org) + engine_->running(org) == 0) {
       resident_[org] = 0;
       resident_orgs_--;
@@ -97,6 +102,8 @@ class ServeSession::StatsListener final : public Policy {
   // Organizations with a waiting or running job.
   std::vector<char> resident_;
   std::uint32_t resident_orgs_ = 0;
+  // Per organization: engine_->completed(u) at its last notification.
+  std::vector<std::uint32_t> completed_;
 };
 
 ServeSession::ServeSession(const std::vector<std::uint32_t>& machines,

@@ -1,6 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -53,30 +52,6 @@ double Engine::share(OrgId u) const {
          static_cast<double>(total_machines_);
 }
 
-Time Engine::next_event() const {
-  return std::min(next_release(), next_completion());
-}
-
-void Engine::lazy_accrue(OrgId u) const {
-  OrgAccount& acc = accounts_[u];
-  const Time delta = now_ - acc.accrued_at;
-  if (delta <= 0) return;
-  acc.accrued_at = now_;
-  if (acc.running_jobs > 0 || acc.work_done > 0) {
-    // Own-job utility: old units each gain delta; each running job adds
-    // delta fresh units worth (delta + delta-1 + ... + 1) at time now_.
-    acc.psi2 += 2 * acc.work_done * delta +
-                static_cast<HalfUtil>(acc.running_jobs) * delta * (delta + 1);
-    acc.work_done += static_cast<std::int64_t>(acc.running_jobs) * delta;
-  }
-  if (acc.busy_machines > 0 || acc.contrib_work > 0) {
-    acc.contrib_psi2 +=
-        2 * acc.contrib_work * delta +
-        static_cast<HalfUtil>(acc.busy_machines) * delta * (delta + 1);
-    acc.contrib_work += static_cast<std::int64_t>(acc.busy_machines) * delta;
-  }
-}
-
 void Engine::fold_aggregate() {
   if (agg_.at != now_) agg_.fold_to(now_);
 }
@@ -91,25 +66,41 @@ void Engine::advance_clock(Time t) {
   }
 }
 
-void Engine::apply_completion(OrgId org, MachineId machine) {
+void Engine::apply_completion_run(const Event& first) {
+  // Every job of the run completes at now(), so the org and the aggregate
+  // fold forward once; each machine's owner folds before its busy count
+  // drops (a no-op after the first of its machines).
+  const OrgId org = first.org;
   lazy_accrue(org);
-  const OrgId owner = inst_->machine_owner(machine);
-  lazy_accrue(owner);
   fold_aggregate();
-  OrgAccount& acc = accounts_[org];
-  assert(acc.running_jobs > 0);
-  acc.running_jobs--;
-  assert(accounts_[owner].busy_machines > 0);
-  accounts_[owner].busy_machines--;
-  agg_.running--;
-  completed_[org]++;
-  if (options_.machine_pick == MachinePick::kFirstFree) {
-    free_set_.insert(machine);
-  } else {
-    free_list_.push_back(machine);
+  MachineId machine = first.machine;
+  std::uint32_t count = 0;
+  for (;;) {
+    const OrgId owner = inst_->machine_owner(machine);
+    lazy_accrue(owner);
+    assert(accounts_[owner].busy_machines > 0);
+    accounts_[owner].busy_machines--;
+    if (options_.machine_pick == MachinePick::kFirstFree) {
+      free_set_.insert(machine);
+    } else {
+      free_list_.push_back(machine);
+    }
+    ++count;
+    // The run's other jobs pop right behind `first` (header note).
+    if (completions_.empty() || completions_.top().time != first.time ||
+        completions_.top().org != org) {
+      break;
+    }
+    machine = completions_.top().machine;
+    completions_.pop();
   }
-  free_machines_++;
-  events_processed_++;
+  OrgAccount& acc = accounts_[org];
+  assert(acc.running_jobs >= count);
+  acc.running_jobs -= count;
+  agg_.running -= count;
+  completed_[org] += count;
+  free_machines_ += count;
+  events_processed_ += count;
   notifications_++;
   if (listener_ != nullptr) {
     PolicyView view(*this);
@@ -140,7 +131,7 @@ void Engine::advance_to(Time t) {
     heap.pop();
     advance_clock(e.time);
     if (completion) {
-      apply_completion(e.org, e.machine);
+      apply_completion_run(e);
       continue;
     }
     if (options_.external_releases) {

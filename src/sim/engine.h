@@ -64,6 +64,23 @@
 // unit-piece deviations (one org's jobs split into long same-release runs)
 // cheap: a run costs one notification, not one per piece.
 //
+// --- Completion runs ---------------------------------------------------------
+//
+// The completion side has the same shape: an organization's completions
+// at one timestamp are adjacent in the completion heap's (time, org,
+// index) order, so when one pops, advance_to takes the completions with
+// the same (time, org) right behind it as one run. Each job of the run
+// frees its machine and folds that machine's owner; the organization's
+// own account and the aggregate fold once. completed(u) and
+// events_processed() grow by the run length, and the listener hears one
+// on_complete(view, u, m) after the whole run's accounting, where m is the
+// machine the run's last job freed. A policy that needs the number of
+// jobs reads the growth of completed(u). Unit pieces started together end
+// together, so a split-unit deviation's completions, like its releases,
+// cost one notification per run. With kRandomFree (below) a run is only
+// pops that are adjacent anyway, so the pop sequence, and with it the
+// free list's order, does not depend on run grouping.
+//
 // One exception, and it is DIRECTCONTR's: with MachinePick::kRandomFree
 // the completion heap orders by time alone. Same-time completions then pop
 // in whatever order the heap's sifts leave them, which is a function of the
@@ -102,6 +119,7 @@
 // accruals forward through mutable state, so concurrent reads of one
 // engine are not safe (the sweep executors give every run its own engine).
 
+#include <algorithm>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -148,7 +166,9 @@ class Engine {
 
   // Earliest pending event (release or completion) strictly after now(), or
   // kTimeInfinity when the engine is drained.
-  Time next_event() const;
+  Time next_event() const {
+    return std::min(next_release(), next_completion());
+  }
 
   // Earliest pending completion, or kTimeInfinity if no job is running.
   Time next_completion() const {
@@ -172,8 +192,8 @@ class Engine {
   // Advances the clock to t (>= now()): accrues utilities, completes jobs
   // due at or before t, and admits releases at or before t. Does not start
   // any job. Events are processed in the order of the header note; the
-  // attached listener, if any, is notified once per completion and once
-  // per same-(time, org) release run.
+  // attached listener, if any, is notified once per same-(time, org)
+  // completion run and once per same-(time, org) release run.
   void advance_to(Time t);
 
   // True when a scheduling decision is required (free machine + waiting job).
@@ -290,14 +310,14 @@ class Engine {
   std::int64_t total_work_done() const { return agg_.work_at(now_); }
 
   // --- instrumentation ----------------------------------------------------
-  // Events processed (releases admitted + completions applied) so far.
+  // Events processed (releases admitted + jobs completed) so far.
   std::uint64_t events_processed() const { return events_processed_; }
   // Scheduling decisions applied (start_front calls) so far.
   std::uint64_t decisions_made() const { return decisions_; }
   // Monotone version of the observable state: bumps once per notification
-  // point (each completion and each release run, attached or not) and once
-  // per start, so it moves by exactly one per on_complete / on_release /
-  // on_start an attached listener hears. Incremental policies use it to
+  // point (each completion run and each release run, attached or not) and
+  // once per start, so it moves by exactly one per on_complete / on_release
+  // / on_start an attached listener hears. Incremental policies use it to
   // detect missed notifications (PolicyView::state_version).
   std::uint64_t state_version() const { return notifications_ + decisions_; }
 
@@ -334,7 +354,7 @@ class Engine {
 
   // Folds organization u's account forward to now() (exact: the closed
   // form splits across sub-intervals). Called before any read and before
-  // any running/busy count change.
+  // any running/busy count change; defined inline below.
   void lazy_accrue(OrgId u) const;
   // Folds the engine-level aggregate sums to now(); must be called before
   // the total running count changes.
@@ -344,7 +364,9 @@ class Engine {
   }
   // Moves the clock (monotone) and notifies the listener.
   void advance_clock(Time t);
-  void apply_completion(OrgId org, MachineId machine);
+  // Applies the completion run that `first` (already popped) heads: it and
+  // the same-(time, org) completions behind it (header note).
+  void apply_completion_run(const Event& first);
   // Admits `count` releases of org at now() as one run (header note).
   void apply_release_run(OrgId org, std::uint32_t count);
   MachineId pick_machine();
@@ -408,7 +430,8 @@ class Engine {
   AggSnapshot agg_;
 
   std::uint64_t events_processed_ = 0;
-  // Completions plus release runs: the points a listener is notified at.
+  // Completion runs plus release runs: the points a listener is notified
+  // at.
   std::uint64_t notifications_ = 0;
   std::uint64_t decisions_ = 0;
   Policy* listener_ = nullptr;
@@ -416,6 +439,26 @@ class Engine {
 
   Time now_ = 0;
 };
+
+inline void Engine::lazy_accrue(OrgId u) const {
+  OrgAccount& acc = accounts_[u];
+  const Time delta = now_ - acc.accrued_at;
+  if (delta <= 0) return;
+  acc.accrued_at = now_;
+  if (acc.running_jobs > 0 || acc.work_done > 0) {
+    // Own-job utility: old units each gain delta; each running job adds
+    // delta fresh units worth (delta + delta-1 + ... + 1) at time now_.
+    acc.psi2 += 2 * acc.work_done * delta +
+                static_cast<HalfUtil>(acc.running_jobs) * delta * (delta + 1);
+    acc.work_done += static_cast<std::int64_t>(acc.running_jobs) * delta;
+  }
+  if (acc.busy_machines > 0 || acc.contrib_work > 0) {
+    acc.contrib_psi2 +=
+        2 * acc.contrib_work * delta +
+        static_cast<HalfUtil>(acc.busy_machines) * delta * (delta + 1);
+    acc.contrib_work += static_cast<std::int64_t>(acc.busy_machines) * delta;
+  }
+}
 
 // --- PolicyView ------------------------------------------------------------
 //

@@ -31,8 +31,14 @@
 //                                  at now() (after the waiting count grew
 //                                  by all of them): one notification per
 //                                  same-time run of u's releases;
-//   on_complete(view, u, m)        a job of u completed on machine m (after
-//                                  the accounting was updated and m freed);
+//   on_complete(view, u, m)        one or more jobs of u completed at
+//                                  now() (after the accounting of all of
+//                                  them was updated and their machines
+//                                  freed): one notification per same-time
+//                                  run of u's completions, which reads its
+//                                  length off the growth of completed(u);
+//                                  m is the machine the run's last job
+//                                  freed;
 //   on_start(view, u, index, m)    u's job `index` started on m — delivered
 //                                  by the run loop, immediately after the
 //                                  policy's own select() answer was applied.
@@ -87,7 +93,7 @@ class PolicyView {
   std::int64_t contrib_work(OrgId u) const;  // unit parts executed on u's machines
 
   // Monotone counter of engine state changes: one per notification point
-  // (a completion or a same-time release run) plus one per job started. A
+  // (a same-time completion run or release run) plus one per job started. A
   // policy mirroring engine state incrementally compares this against the
   // version it last synchronized at to detect state changes it was not
   // notified of (drivers that step the engine without attaching).

@@ -193,19 +193,17 @@ Instance apply_deviation(const Instance& honest, OrgId deviator,
         " is out of range (instance has " +
         std::to_string(honest.num_orgs()) + " organizations)");
   }
-  // Every stream below is added in release order (deviations keep FIFO
-  // streams release-sorted), so build() finds them sorted and keeps them.
+  // Every stream below is added whole and in release order (deviations
+  // keep FIFO streams release-sorted), so build() finds them sorted and
+  // keeps them. The deviator's transformed stream moves in uncopied.
   InstanceBuilder builder;
-  const auto add_stream = [&builder](OrgId u, std::span<const Job> jobs) {
-    builder.reserve_jobs(u, jobs.size());
-    for (const Job& job : jobs) builder.add_job(u, job.release, job.processing);
-  };
   for (OrgId u = 0; u < honest.num_orgs(); ++u) {
     builder.add_org(honest.org(u).name, honest.org(u).machines);
+    const std::span<const Job> jobs = honest.jobs_of(u);
     if (u == deviator) {
-      add_stream(u, apply_deviation_to_jobs(honest.jobs_of(u), dev));
+      builder.add_jobs(u, apply_deviation_to_jobs(jobs, dev));
     } else {
-      add_stream(u, honest.jobs_of(u));
+      builder.add_jobs(u, std::vector<Job>(jobs.begin(), jobs.end()));
     }
   }
   return std::move(builder).build();

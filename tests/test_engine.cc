@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -24,10 +25,12 @@ namespace fairsched {
 namespace {
 
 // Forwards to `inner` and records every notification the engine and the
-// driver deliver. Completions carry the job index they refer to, recovered
-// from the engine; a release notification carries its run — the index of
-// the first job it released and how many (the growth of the organization's
-// released count since its previous release notification) — so the record
+// driver deliver. A release notification carries its run: the index of the
+// first job it released and how many (the growth of the organization's
+// released count since its previous release notification). A completion
+// notification carries its run too: the index of the job that ended on the
+// notified machine (the run's last), recovered from the placements, and
+// how many jobs completed (the growth of completed(org)). So the record
 // pins the full (time, kind, org, index) event order.
 class RecordingPolicy final : public Policy {
  public:
@@ -39,13 +42,16 @@ class RecordingPolicy final : public Policy {
     OrgId org;
     std::uint32_t index;
     MachineId machine;
-    std::uint32_t count = 1;  // jobs released by a release notification
+    std::uint32_t count = 1;  // jobs released or completed by the note
     friend bool operator==(const Note&, const Note&) = default;
   };
 
   // Records the engine's placements too: on_complete reads them.
   RecordingPolicy(Engine& engine, Policy& inner)
-      : engine_(engine), inner_(inner), released_(engine.num_orgs(), 0) {
+      : engine_(engine),
+        inner_(inner),
+        released_(engine.num_orgs(), 0),
+        completed_(engine.num_orgs(), 0) {
     engine.record_into(&schedule_);
   }
 
@@ -66,8 +72,8 @@ class RecordingPolicy final : public Policy {
   }
   void on_complete(const PolicyView& view, OrgId org,
                    MachineId machine) override {
-    // The job that just ended on `machine`: the only placement of `org`
-    // there whose end is now.
+    // The run's last job: the only placement of `org` on `machine` whose
+    // end is now.
     const Instance& inst = engine_.instance();
     std::uint32_t index = 0;
     for (const Placement& p : schedule_.placements()) {
@@ -76,7 +82,10 @@ class RecordingPolicy final : public Policy {
         index = p.index;
       }
     }
-    notes_.push_back({kComplete, view.now(), org, index, machine});
+    const std::uint32_t completed = engine_.completed(org);
+    notes_.push_back({kComplete, view.now(), org, index, machine,
+                      completed - completed_[org]});
+    completed_[org] = completed;
     inner_.on_complete(view, org, machine);
   }
   void on_advance(const PolicyView& view, Time dt) override {
@@ -86,8 +95,8 @@ class RecordingPolicy final : public Policy {
 
   const std::vector<Note>& notes() const { return notes_; }
   const Schedule& schedule() const { return schedule_; }
-  // (kind, org, index, count) of a completion (count 1) or a release run
-  // (index of its first job).
+  // (kind, org, index, count) of a completion run (index of its last job)
+  // or a release run (index of its first job).
   using Event = std::tuple<Kind, OrgId, std::uint32_t, std::uint32_t>;
   // The release and completion notifications at time t, in order.
   std::vector<Event> events_at(Time t) const {
@@ -104,8 +113,10 @@ class RecordingPolicy final : public Policy {
   const Engine& engine_;
   Policy& inner_;
   std::vector<Note> notes_;
-  // Per organization: jobs released as of its last release notification.
+  // Per organization: jobs released as of its last release notification,
+  // and jobs completed as of its last completion notification.
   std::vector<std::uint32_t> released_;
+  std::vector<std::uint32_t> completed_;
   Schedule schedule_;
 };
 
@@ -354,7 +365,7 @@ TEST(Engine, RandomMachinePickDeterministicPerSeed) {
 // The one same-time rule (engine.h): completions before releases, then by
 // organization, then by job index — whatever order the heaps saw the
 // events pushed in. An organization's releases at one time reach the
-// policy as one notification for the run.
+// policy as one notification for the run, and so do its completions.
 TEST(Engine, SameTimeEventsApplyCompletionsFirstThenByOrgThenIndex) {
   InstanceBuilder b;
   const OrgId a = b.add_org("a", 2);
@@ -374,8 +385,7 @@ TEST(Engine, SameTimeEventsApplyCompletionsFirstThenByOrgThenIndex) {
   engine.run(recorder, 20);
   using R = RecordingPolicy;
   const std::vector<R::Event> expected = {
-      {R::kComplete, a, 0, 1},
-      {R::kComplete, a, 1, 1},
+      {R::kComplete, a, 1, 2},
       {R::kComplete, d, 0, 1},
       {R::kRelease, a, 2, 1},
       {R::kRelease, c, 0, 1},
@@ -385,17 +395,25 @@ TEST(Engine, SameTimeEventsApplyCompletionsFirstThenByOrgThenIndex) {
   const std::vector<R::Event> at_zero = {{R::kRelease, a, 0, 2},
                                          {R::kRelease, d, 0, 1}};
   EXPECT_EQ(recorder.events_at(0), at_zero);
+  // At 8, a's, c's and d's last starts complete: three runs in org order.
+  const std::vector<R::Event> at_eight = {{R::kComplete, a, 2, 1},
+                                          {R::kComplete, c, 0, 1},
+                                          {R::kComplete, d, 1, 1}};
+  EXPECT_EQ(recorder.events_at(8), at_eight);
   // Seven releases and seven completions are still seven events each; the
-  // version counts the five release runs, seven completions and seven
+  // version counts the five release runs, six completion runs and seven
   // starts the policy heard.
   EXPECT_EQ(engine.events_processed(), 14u);
-  EXPECT_EQ(engine.state_version(), 19u);
+  EXPECT_EQ(engine.state_version(), 18u);
 }
 
-// Notifications follow the one order, and each release notification is
-// one whole same-(time, org) run: it starts at the organization's first job
-// released at that time and carries every job released then.
+// Notifications follow the one order, and each notification is one whole
+// same-(time, org) run. A release run starts at the organization's first
+// job released at that time and carries every job released then. A
+// completion run carries every job of the organization that ends then, and
+// its machine is the one the highest-indexed of them ran on.
 TEST(Engine, EventStreamIsTotallyOrderedOnCollidingWorkloads) {
+  std::uint32_t longest_completion_run = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Instance inst = colliding_instance(seed, 6);
     Engine engine(inst);
@@ -403,36 +421,50 @@ TEST(Engine, EventStreamIsTotallyOrderedOnCollidingWorkloads) {
     RecordingPolicy recorder(engine, fairshare);
     engine.run(recorder, 40);
     using R = RecordingPolicy;
-    using Key = std::tuple<Time, R::Kind, OrgId, std::uint32_t>;
+    using Key = std::tuple<Time, R::Kind, OrgId>;
     std::vector<Key> keys;
     std::uint64_t events = 0;
     std::uint64_t heard = 0;
-    std::uint32_t longest_run = 0;
+    std::uint32_t longest_release_run = 0;
     for (const R::Note& n : recorder.notes()) {
       if (n.kind == R::kAdvance) continue;
       ++heard;
       if (n.kind == R::kStart) continue;
       events += n.count;
-      // Releases key by (time, org) alone: two notes of one run would tie.
-      keys.emplace_back(n.time, n.kind, n.org,
-                        n.kind == R::kRelease ? 0 : n.index);
-      if (n.kind != R::kRelease) continue;
+      // Runs key by (time, org) alone: two notes of one run would tie.
+      keys.emplace_back(n.time, n.kind, n.org);
       const auto jobs = inst.jobs_of(n.org);
+      if (n.kind == R::kComplete) {
+        std::uint32_t run = 0;
+        std::uint32_t last = 0;
+        for (const Placement& p : recorder.schedule().placements()) {
+          if (p.org != n.org || p.start + jobs[p.index].processing != n.time) {
+            continue;
+          }
+          ++run;
+          last = std::max(last, p.index);
+        }
+        EXPECT_EQ(n.count, run) << "seed=" << seed << " t=" << n.time;
+        EXPECT_EQ(n.index, last) << "seed=" << seed << " t=" << n.time;
+        longest_completion_run = std::max(longest_completion_run, n.count);
+        continue;
+      }
       std::uint32_t run = 0;
       for (const Job& job : jobs) run += job.release == n.time ? 1 : 0;
       EXPECT_EQ(n.count, run) << "seed=" << seed;
-      longest_run = std::max(longest_run, n.count);
+      longest_release_run = std::max(longest_release_run, n.count);
       EXPECT_EQ(jobs[n.index].release, n.time) << "seed=" << seed;
       EXPECT_TRUE(n.index == 0 || jobs[n.index - 1].release < n.time)
           << "seed=" << seed;
     }
-    EXPECT_GT(longest_run, 1u) << "seed=" << seed;
+    EXPECT_GT(longest_release_run, 1u) << "seed=" << seed;
     EXPECT_EQ(events, engine.events_processed()) << "seed=" << seed;
     EXPECT_EQ(heard, engine.state_version()) << "seed=" << seed;
     for (std::size_t i = 1; i < keys.size(); ++i) {
       EXPECT_LT(keys[i - 1], keys[i]) << "seed=" << seed << " i=" << i;
     }
   }
+  EXPECT_GT(longest_completion_run, 1u);
 }
 
 // Injecting each timestamp's releases in a shuffled organization order
@@ -713,6 +745,188 @@ TEST(EngineReleaseRuns, TwoOrgsAtTAreTwoRuns) {
   // Injected interleaved: the heap still hands each org's run over whole.
   expect_runs(inst, {c, a, c, a, c},
               {{{2, a, 0, 2}, {2, c, 0, 3}}, /*events=*/5, /*version=*/2});
+}
+
+// --- Completion runs ---------------------------------------------------------
+//
+// An organization's completions at one timestamp reach the listener as one
+// on_complete, after the accounting of the whole run (engine.h). A
+// preloaded engine and an injected one deliver the same runs.
+
+// What a listener reads at one on_complete.
+struct CompletionSeen {
+  Time time;
+  OrgId org;
+  MachineId machine;
+  std::uint32_t completed;
+  std::uint32_t running;
+  std::uint32_t free_machines;
+  std::int64_t work_done;
+  std::uint64_t events;
+  friend bool operator==(const CompletionSeen&,
+                         const CompletionSeen&) = default;
+};
+
+// FCFS that records what it reads at each on_complete.
+class CompletionProbe final : public Policy {
+ public:
+  explicit CompletionProbe(const Engine& engine) : engine_(engine) {}
+
+  void reset(const PolicyView& view) override { fcfs_.reset(view); }
+  OrgId select(const PolicyView& view) override { return fcfs_.select(view); }
+  void on_start(const PolicyView& view, OrgId org, std::uint32_t index,
+                MachineId machine) override {
+    fcfs_.on_start(view, org, index, machine);
+  }
+  void on_release(const PolicyView& view, OrgId org) override {
+    fcfs_.on_release(view, org);
+  }
+  void on_complete(const PolicyView& view, OrgId org,
+                   MachineId machine) override {
+    seen.push_back({view.now(), org, machine, view.completed(org),
+                    view.running(org), view.free_machines(),
+                    view.work_done(org), engine_.events_processed()});
+    fcfs_.on_complete(view, org, machine);
+  }
+  void on_advance(const PolicyView& view, Time dt) override {
+    fcfs_.on_advance(view, dt);
+  }
+
+  std::vector<CompletionSeen> seen;
+
+ private:
+  const Engine& engine_;
+  FcfsPolicy fcfs_;
+};
+
+// Runs FCFS over `inst` preloaded and injected; expects both to hear
+// `expected` and to end at `version`.
+void expect_completion_runs(const Instance& inst,
+                            const std::vector<CompletionSeen>& expected,
+                            std::uint64_t version) {
+  for (const bool injected : {false, true}) {
+    EngineOptions options;
+    options.external_releases = injected;
+    Engine engine(inst, options);
+    CompletionProbe probe(engine);
+    if (injected) {
+      fixtures::run_injected(engine, probe, fixtures::arrivals_by_release(inst),
+                             20);
+    } else {
+      engine.run(probe, 20);
+    }
+    EXPECT_EQ(probe.seen, expected) << "injected=" << injected;
+    EXPECT_EQ(engine.state_version(), version) << "injected=" << injected;
+  }
+}
+
+TEST(EngineCompletionRuns, OneNotificationAfterTheWholeRunsAccounting) {
+  InstanceBuilder b;
+  const OrgId a = b.add_org("a", 3);  // machines 0-2
+  const OrgId c = b.add_org("c", 2);  // machines 3-4
+  for (const Time p : {5, 5, 5, 9}) b.add_job(a, 0, p);
+  b.add_job(c, 0, 5);
+  const Instance inst = std::move(b).build();
+  // All five start at 0 on machines 0-4. At 5, a's three jobs end as one
+  // run: its note already sees all three machines free and all 15 units
+  // done, plus 5 of the running job's.
+  const std::vector<CompletionSeen> expected = {
+      {5, a, 2, 3, 1, 3, 20, 8},
+      {5, c, 4, 1, 0, 4, 5, 9},
+      {9, a, 3, 4, 0, 5, 24, 10},
+  };
+  // Two release runs, three completion runs and five starts.
+  expect_completion_runs(inst, expected, 10);
+}
+
+TEST(EngineCompletionRuns, TwoOrgsCompletingAtTAreTwoRunsInOrgOrder) {
+  InstanceBuilder b;
+  const OrgId low = b.add_org("low", 1);    // machine 0
+  const OrgId high = b.add_org("high", 2);  // machines 1-2
+  b.add_job(high, 0, 6);  // machine 0
+  b.add_job(high, 0, 6);  // machine 1
+  b.add_job(low, 1, 5);   // machine 2, pushed last
+  const Instance inst = std::move(b).build();
+  // Everything ends at 6: the lower org's run goes first, whatever machine
+  // ids and push order say.
+  const std::vector<CompletionSeen> expected = {
+      {6, low, 2, 1, 0, 1, 5, 4},
+      {6, high, 1, 2, 0, 3, 12, 6},
+  };
+  expect_completion_runs(inst, expected, 7);
+}
+
+// Under kRandomFree the completion heap orders by time alone, so a run is
+// the adjacent pops of one (time, org): the engine's notes must equal the
+// runs of a replay of that heap's push/pop sequence.
+TEST(EngineCompletionRuns, RandomFreeRunsFollowThePopOrder) {
+  struct Pending {
+    Time time;
+    OrgId org;
+    MachineId machine;
+  };
+  const auto pops_after = [](const Pending& x, const Pending& y) {
+    return x.time > y.time;
+  };
+  using Run = std::tuple<Time, OrgId, std::uint32_t, MachineId>;
+  std::uint32_t longest = 0;
+  bool split_run = false;  // one (time, org) cut in two by another org
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const Instance inst = colliding_instance(seed, 6);
+    EngineOptions options;
+    options.machine_pick = MachinePick::kRandomFree;
+    options.seed = seed;
+    Engine engine(inst, options);
+    FairSharePolicy fairshare;
+    RecordingPolicy recorder(engine, fairshare);
+    const Time horizon = 40;
+    engine.run(recorder, horizon);
+
+    // Each decision time's starts are pushed after every completion due by
+    // then has popped.
+    std::priority_queue<Pending, std::vector<Pending>, decltype(pops_after)>
+        heap(pops_after);
+    std::vector<Pending> popped;
+    const auto pop_until = [&](Time t) {
+      while (!heap.empty() && heap.top().time <= t) {
+        popped.push_back(heap.top());
+        heap.pop();
+      }
+    };
+    for (const Placement& p : recorder.schedule().placements()) {
+      pop_until(p.start);
+      heap.push({p.start + inst.job(p.org, p.index).processing, p.org,
+                 p.machine});
+    }
+    pop_until(horizon);
+
+    std::vector<Run> expected;
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+      const Pending& e = popped[i];
+      if (i > 0 && popped[i - 1].time == e.time &&
+          popped[i - 1].org == e.org) {
+        auto& [time, org, count, machine] = expected.back();
+        ++count;
+        machine = e.machine;
+        longest = std::max(longest, count);
+        continue;
+      }
+      for (const Run& run : expected) {
+        split_run = split_run ||
+                    (std::get<0>(run) == e.time && std::get<1>(run) == e.org);
+      }
+      expected.emplace_back(e.time, e.org, 1, e.machine);
+    }
+    std::vector<Run> heard;
+    for (const RecordingPolicy::Note& n : recorder.notes()) {
+      if (n.kind == RecordingPolicy::kComplete) {
+        heard.emplace_back(n.time, n.org, n.count, n.machine);
+      }
+    }
+    EXPECT_EQ(heard, expected) << "seed=" << seed;
+  }
+  EXPECT_GT(longest, 1u);
+  EXPECT_TRUE(split_run);
 }
 
 TEST(Engine, LargerSyntheticWorkloadStaysConsistent) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 namespace fairsched {
 namespace {
@@ -67,7 +70,6 @@ TEST(Instance, StableSortPreservesSubmissionOrderAtEqualRelease) {
 TEST(Instance, SortedInputWithEqualReleaseRunsKeepsSubmissionOrder) {
   InstanceBuilder b;
   const OrgId a = b.add_org("a", 1);
-  b.reserve_jobs(a, 6);
   const Time releases[] = {1, 1, 1, 4, 4, 7};
   for (Time p = 1; p <= 6; ++p) b.add_job(a, releases[p - 1], p);
   const Instance inst = std::move(b).build();
@@ -129,11 +131,55 @@ TEST(InstanceBuilder, RejectsBadJobs) {
   EXPECT_THROW(b.add_job(7, 0, 1), std::out_of_range);
 }
 
-TEST(InstanceBuilder, ReserveJobsRejectsUnknownOrg) {
+TEST(InstanceBuilder, AddJobsRejectsBadJobs) {
   InstanceBuilder b;
-  b.add_org("a", 1);
-  EXPECT_NO_THROW(b.reserve_jobs(0, 10));
-  EXPECT_THROW(b.reserve_jobs(1, 10), std::out_of_range);
+  const OrgId a = b.add_org("a", 1);
+  EXPECT_THROW(b.add_jobs(a, {Job{a, 0, 0, 1}, Job{a, 0, -1, 5}}),
+               std::invalid_argument);
+  EXPECT_THROW(b.add_jobs(a, {Job{a, 0, 0, 0}}), std::invalid_argument);
+  EXPECT_THROW(b.add_jobs(a, {Job{a, 0, 3, -2}}), std::invalid_argument);
+  EXPECT_THROW(b.add_jobs(7, {Job{7, 0, 0, 1}}), std::out_of_range);
+  // A rejected stream adds nothing.
+  EXPECT_EQ(std::move(b).build().num_jobs(), 0u);
+}
+
+// add_jobs appends like add_job one job at a time: after earlier jobs, and
+// sorted stably by release with the org and index fields re-derived.
+TEST(InstanceBuilder, AddJobsMatchesAddJobOneAtATime) {
+  const std::vector<std::pair<Time, Time>> first = {{4, 2}, {1, 3}};
+  const std::vector<std::pair<Time, Time>> stream = {{1, 5}, {0, 1}, {4, 4}};
+  InstanceBuilder one;
+  InstanceBuilder whole;
+  for (InstanceBuilder* b : {&one, &whole}) {
+    b->add_org("a", 1);
+    b->add_org("c", 2);
+  }
+  std::vector<Job> jobs;
+  for (const auto& [release, processing] : first) {
+    one.add_job(1, release, processing);
+    whole.add_job(1, release, processing);
+  }
+  for (const auto& [release, processing] : stream) {
+    one.add_job(1, release, processing);
+    one.add_job(0, release, processing);
+    // org and index are placeholders: build() re-derives them.
+    jobs.push_back(Job{9, 9, release, processing});
+  }
+  whole.add_jobs(1, jobs);
+  whole.add_jobs(0, std::move(jobs));
+  const Instance want = std::move(one).build();
+  const Instance got = std::move(whole).build();
+  ASSERT_EQ(got.num_jobs(), want.num_jobs());
+  for (OrgId u = 0; u < want.num_orgs(); ++u) {
+    ASSERT_EQ(got.jobs_of(u).size(), want.jobs_of(u).size()) << "u=" << u;
+    for (std::uint32_t i = 0; i < want.jobs_of(u).size(); ++i) {
+      const Job& g = got.job(u, i);
+      const Job& w = want.job(u, i);
+      EXPECT_EQ(std::tie(g.org, g.index, g.release, g.processing),
+                std::tie(w.org, w.index, w.release, w.processing))
+          << "u=" << u << " i=" << i;
+    }
+  }
 }
 
 TEST(InstanceBuilder, RejectsJobsWithoutMachines) {

@@ -52,6 +52,37 @@ TEST(KeyedArgmin, InfiniteKeysRankAfterEveryFiniteKeyAndTieToTheLowerId) {
   EXPECT_EQ(tree.argmin(), kNone);
 }
 
+// set() of a present id with an equal key is a no-op; a changed key, a
+// NaN, or an equal key on an id that was cleared still updates.
+TEST(KeyedArgmin, EqualKeySetKeepsTheArgminAndAChangedKeyMovesIt) {
+  KeyedArgmin<double> tree;
+  tree.init(4);
+  tree.set(0, 1.0);
+  tree.set(1, 1.0);
+  EXPECT_EQ(tree.argmin(), 0u);
+  tree.set(0, 1.0);
+  EXPECT_EQ(tree.argmin(), 0u);
+  tree.set(0, 2.0);
+  EXPECT_EQ(tree.argmin(), 1u);
+  tree.set(0, 2.0);
+  EXPECT_EQ(tree.argmin(), 1u);
+  tree.set(0, 0.5);
+  EXPECT_EQ(tree.argmin(), 0u);
+  // A NaN key ranks level with everything, so ids break the tie.
+  tree.set(2, 0.25);
+  EXPECT_EQ(tree.argmin(), 2u);
+  tree.set(2, std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(tree.argmin(), 0u);
+  tree.set(2, 0.25);
+  EXPECT_EQ(tree.argmin(), 2u);
+  // An id cleared and set again with its old key is present again.
+  tree.clear(2);
+  EXPECT_EQ(tree.argmin(), 0u);
+  tree.set(2, 0.25);
+  EXPECT_EQ(tree.argmin(), 2u);
+  EXPECT_TRUE(tree.has(2));
+}
+
 // The fair-share mirror's scalar key (ratio, or +inf for a zero share)
 // must rank exactly like the (zero-share class, ratio) pair it replaced.
 TEST(KeyedArgmin, ScalarRatioKeyRanksLikeTheClassRatioPair) {

@@ -443,14 +443,16 @@ TEST(PolicyEquivalence, DetachedWithoutResetHealsFromTheView) {
 
 // Counts every notification and checks the documented delivery points
 // (sim/policy.h): on_release after the waiting count grew by the run's
-// jobs, on_complete after the machine freed, on_advance with the positive
-// clock delta — and that each of on_release, on_complete and on_start
-// moves state_version() by exactly one.
+// jobs, on_complete after the completed count grew by the run's jobs and
+// their machines freed, on_advance with the positive clock delta — and
+// that each of on_release, on_complete and on_start moves state_version()
+// by exactly one.
 class CountingPolicy : public Policy {
  public:
   void reset(const PolicyView& view) override {
     version = view.state_version();
     released.assign(view.num_orgs(), 0);
+    completed.assign(view.num_orgs(), 0);
   }
   OrgId select(const PolicyView& view) override {
     ++selects;
@@ -470,11 +472,17 @@ class CountingPolicy : public Policy {
     longest_run = std::max(longest_run, now_released - released[org]);
     released[org] = now_released;
   }
-  void on_complete(const PolicyView& view, OrgId /*org*/,
+  void on_complete(const PolicyView& view, OrgId org,
                    MachineId /*machine*/) override {
     ++completes;
     heard(view);
-    EXPECT_GT(view.free_machines(), 0u);
+    EXPECT_GT(view.completed(org), completed[org]);
+    const std::uint32_t run = view.completed(org) - completed[org];
+    completed_jobs += run;
+    longest_completion_run = std::max(longest_completion_run, run);
+    completed[org] = view.completed(org);
+    // No start falls inside a run, so every machine it freed is free.
+    EXPECT_GE(view.free_machines(), run);
   }
   void on_advance(const PolicyView& /*view*/, Time dt) override {
     EXPECT_GT(dt, 0);
@@ -492,10 +500,13 @@ class CountingPolicy : public Policy {
   std::uint64_t released_jobs = 0;
   std::uint32_t longest_run = 0;
   std::uint64_t completes = 0;
+  std::uint64_t completed_jobs = 0;
+  std::uint32_t longest_completion_run = 0;
   std::uint64_t starts = 0;
   Time advanced = 0;
   std::uint64_t version = 0;
   std::vector<std::uint32_t> released;
+  std::vector<std::uint32_t> completed;
 
  private:
   void heard(const PolicyView& view) {
@@ -505,7 +516,8 @@ class CountingPolicy : public Policy {
 };
 
 TEST(PushLifecycle, EveryEventAndStartIsDeliveredExactlyOnce) {
-  // The split-unit instance releases long same-time runs.
+  // The split-unit instance releases long same-time runs, and its unit
+  // pieces end in same-time runs.
   for (const bool split : {false, true}) {
     const Instance inst =
         split ? unit_piece_instance(11) : random_instance(11);
@@ -514,11 +526,11 @@ TEST(PushLifecycle, EveryEventAndStartIsDeliveredExactlyOnce) {
     CountingPolicy policy;
     engine.run(policy, horizon);
 
-    // Every released job and every completion is one processed event; one
-    // release notification per same-time run, one on_start per decision,
-    // the version counts exactly the notifications heard, and the advance
-    // deltas telescope over the whole run.
-    EXPECT_EQ(policy.released_jobs + policy.completes,
+    // Every released job and every completed job is one processed event;
+    // one release or completion notification per same-time run, one
+    // on_start per decision, the version counts exactly the notifications
+    // heard, and the advance deltas telescope over the whole run.
+    EXPECT_EQ(policy.released_jobs + policy.completed_jobs,
               engine.events_processed())
         << "split=" << split;
     EXPECT_EQ(policy.releases + policy.completes + policy.starts,
@@ -531,6 +543,7 @@ TEST(PushLifecycle, EveryEventAndStartIsDeliveredExactlyOnce) {
     EXPECT_GT(policy.completes, 0u) << "split=" << split;
     if (split) {
       EXPECT_GT(policy.longest_run, 1u);
+      EXPECT_GT(policy.longest_completion_run, 1u);
     }
   }
 }

@@ -102,6 +102,7 @@ TEST(FcfsValueCurve, MatchesFcfsEngineOnEveryCoalition) {
     b.add_org("anchor", 1);
     const Instance inst = std::move(b).build();
     const Time horizon = 90;
+    const std::vector<FcfsJob> order = fcfs_job_order(inst);
     const Coalition::Mask end = Coalition::Mask{1} << inst.num_orgs();
     for (Coalition::Mask mask = 1; mask < end; ++mask) {
       // A fresh engine per query time: Engine::run makes no decision at
@@ -112,7 +113,7 @@ TEST(FcfsValueCurve, MatchesFcfsEngineOnEveryCoalition) {
         engine.run(fcfs, t);
         return engine.value2();
       };
-      FcfsValueCurve curve(inst, Coalition(mask));
+      FcfsValueCurve curve(inst, order, Coalition(mask));
       for (Time t = 0; t < horizon; t += 1 + (t % 4)) {
         curve.advance_to(t);
         ASSERT_EQ(curve.value2(), fcfs_value2(t))
@@ -128,7 +129,8 @@ TEST(FcfsValueCurve, MatchesFcfsEngineOnEveryCoalition) {
 TEST(FcfsValueCurve, MachinelessCoalitionHasZeroValue) {
   const Instance inst = zero_machine_instance();
   // Organizations 2 and 4 own no machines.
-  FcfsValueCurve curve(inst, Coalition((1u << 2) | (1u << 4)));
+  const std::vector<FcfsJob> order = fcfs_job_order(inst);
+  FcfsValueCurve curve(inst, order, Coalition((1u << 2) | (1u << 4)));
   for (Time t : {0, 10, 150, 1000}) {
     curve.advance_to(t);
     EXPECT_EQ(curve.value2(), 0);

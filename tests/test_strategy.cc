@@ -217,45 +217,77 @@ TEST(ApplyDeviationInstance, OnlyTheDeviatorChanges) {
   EXPECT_EQ(dev.total_work(), honest.total_work());
 }
 
-// apply_deviation builds with reserved streams and no re-sort; it must
-// equal a plain per-job rebuild of the same declared streams.
+// Random instances: two to five organizations (some without machines)
+// with mixed job sizes, releases drawn from a narrow range so runs of
+// equal releases are common.
+Instance random_strategy_instance(std::uint64_t seed) {
+  Rng rng(seed);
+  InstanceBuilder b;
+  const auto k = 2 + static_cast<std::uint32_t>(rng.uniform_u64(4));
+  for (std::uint32_t u = 0; u < k; ++u) {
+    b.add_org("o" + std::to_string(u),
+              static_cast<std::uint32_t>(rng.uniform_u64(3)));
+  }
+  b.add_org("anchor", 1);
+  for (std::uint32_t u = 0; u < k; ++u) {
+    const auto jobs = static_cast<std::uint32_t>(rng.uniform_u64(20));
+    for (std::uint32_t i = 0; i < jobs; ++i) {
+      b.add_job(u, static_cast<Time>(rng.uniform_u64(15)),
+                1 + static_cast<Time>(rng.uniform_u64(9)));
+    }
+  }
+  return std::move(b).build();
+}
+
+// apply_deviation moves each declared stream into the builder whole; it
+// must equal a plain per-job rebuild of the same declared streams.
 TEST(ApplyDeviationInstance, EqualsAPerJobRebuildOnEveryGridEntry) {
-  const Instance honest = make_synthetic_instance(
-      preset_lpc_egee(), 4, 3000, MachineSplit::kZipf, 1.0, 5);
-  ASSERT_GT(honest.jobs_of(0).size(), 10u);
-  ASSERT_GT(honest.jobs_of(3).size(), 10u);
-  for (const DeviationSpec& dev : default_deviation_grid()) {
-    for (OrgId deviator : {OrgId{0}, OrgId{3}}) {
-      InstanceBuilder b;
-      for (OrgId u = 0; u < honest.num_orgs(); ++u) {
-        b.add_org(honest.org(u).name, honest.org(u).machines);
-        const std::vector<Job> jobs =
-            u == deviator
-                ? apply_deviation_to_jobs(honest.jobs_of(u), dev)
-                : std::vector<Job>(honest.jobs_of(u).begin(),
-                                   honest.jobs_of(u).end());
-        for (const Job& job : jobs) b.add_job(u, job.release, job.processing);
-      }
-      const Instance want = std::move(b).build();
-      const Instance got = apply_deviation(honest, deviator, dev);
-      const std::string what =
-          deviation_label(dev) + " deviator=" + std::to_string(deviator);
-      ASSERT_EQ(got.num_orgs(), want.num_orgs()) << what;
-      EXPECT_EQ(got.num_jobs(), want.num_jobs()) << what;
-      EXPECT_EQ(got.total_work(), want.total_work()) << what;
-      EXPECT_EQ(got.last_release(), want.last_release()) << what;
-      EXPECT_EQ(got.total_machines(), want.total_machines()) << what;
-      for (OrgId u = 0; u < want.num_orgs(); ++u) {
-        EXPECT_EQ(got.org(u).name, want.org(u).name) << what;
-        EXPECT_EQ(got.org(u).machines, want.org(u).machines) << what;
-        const auto g = got.jobs_of(u);
-        const auto w = want.jobs_of(u);
-        ASSERT_EQ(g.size(), w.size()) << what << " u=" << u;
-        for (std::size_t i = 0; i < w.size(); ++i) {
-          EXPECT_EQ(g[i].org, w[i].org) << what << " u=" << u << " i=" << i;
-          EXPECT_EQ(g[i].index, w[i].index) << what << " u=" << u;
-          EXPECT_EQ(g[i].release, w[i].release) << what << " u=" << u;
-          EXPECT_EQ(g[i].processing, w[i].processing) << what << " u=" << u;
+  std::vector<Instance> honests;
+  honests.push_back(make_synthetic_instance(preset_lpc_egee(), 4, 3000,
+                                            MachineSplit::kZipf, 1.0, 5));
+  ASSERT_GT(honests[0].jobs_of(0).size(), 10u);
+  ASSERT_GT(honests[0].jobs_of(3).size(), 10u);
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    honests.push_back(random_strategy_instance(seed));
+  }
+  for (std::size_t n = 0; n < honests.size(); ++n) {
+    const Instance& honest = honests[n];
+    for (const DeviationSpec& dev : default_deviation_grid()) {
+      for (OrgId deviator = 0; deviator < honest.num_orgs(); ++deviator) {
+        InstanceBuilder b;
+        for (OrgId u = 0; u < honest.num_orgs(); ++u) {
+          b.add_org(honest.org(u).name, honest.org(u).machines);
+          const std::vector<Job> jobs =
+              u == deviator
+                  ? apply_deviation_to_jobs(honest.jobs_of(u), dev)
+                  : std::vector<Job>(honest.jobs_of(u).begin(),
+                                     honest.jobs_of(u).end());
+          for (const Job& job : jobs) {
+            b.add_job(u, job.release, job.processing);
+          }
+        }
+        const Instance want = std::move(b).build();
+        const Instance got = apply_deviation(honest, deviator, dev);
+        const std::string what = "instance=" + std::to_string(n) + " " +
+                                 deviation_label(dev) +
+                                 " deviator=" + std::to_string(deviator);
+        ASSERT_EQ(got.num_orgs(), want.num_orgs()) << what;
+        EXPECT_EQ(got.num_jobs(), want.num_jobs()) << what;
+        EXPECT_EQ(got.total_work(), want.total_work()) << what;
+        EXPECT_EQ(got.last_release(), want.last_release()) << what;
+        EXPECT_EQ(got.total_machines(), want.total_machines()) << what;
+        for (OrgId u = 0; u < want.num_orgs(); ++u) {
+          EXPECT_EQ(got.org(u).name, want.org(u).name) << what;
+          EXPECT_EQ(got.org(u).machines, want.org(u).machines) << what;
+          const auto g = got.jobs_of(u);
+          const auto w = want.jobs_of(u);
+          ASSERT_EQ(g.size(), w.size()) << what << " u=" << u;
+          for (std::size_t i = 0; i < w.size(); ++i) {
+            EXPECT_EQ(g[i].org, w[i].org) << what << " u=" << u << " i=" << i;
+            EXPECT_EQ(g[i].index, w[i].index) << what << " u=" << u;
+            EXPECT_EQ(g[i].release, w[i].release) << what << " u=" << u;
+            EXPECT_EQ(g[i].processing, w[i].processing) << what << " u=" << u;
+          }
         }
       }
     }

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <tuple>
+
+#include "sched/ref.h"
 
 namespace fairsched {
 namespace {
@@ -192,6 +196,32 @@ TEST(ClassicMetrics, CompletedWorkAndUtilization) {
                    40.0 / (3.0 * 14.0));
   // At t=5: executed units = J1 3 + J2 4 + J3 3 + J4 1 + J5 2 + J6 2 = 15.
   EXPECT_EQ(completed_work(f.inst, f.schedule, 5), 15);
+}
+
+// A placement of a job the instance does not have (an index past the
+// org's jobs, or an unknown org) makes the readers throw, not read out of
+// bounds: the metrics here and REF's generic completed-work utility.
+TEST(ClassicMetrics, PlacementOfAnUnknownJobThrows) {
+  const Fig2 f = figure2();
+  for (const Placement& bad :
+       {Placement{1, 1, 0, 2}, Placement{0, 9, 0, 0}, Placement{5, 0, 0, 0}}) {
+    Schedule schedule = f.schedule;
+    schedule.add(bad);
+    EXPECT_THROW(sp_half_utilities(f.inst, schedule, 14), std::out_of_range);
+    EXPECT_THROW(completed_work(f.inst, schedule, 14), std::out_of_range);
+    EXPECT_THROW(total_flow_time(f.inst, schedule, 14), std::out_of_range);
+    EXPECT_THROW(CompletedWorkUtilityFn().eval(f.inst, schedule, bad.org, 14),
+                 std::out_of_range);
+  }
+  try {
+    Schedule schedule = f.schedule;
+    schedule.add({1, 1, 0, 2});
+    sp_half_value(f.inst, schedule, 14);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("org 1 index 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ClassicMetrics, UtilizationEdgeCases) {
